@@ -42,7 +42,7 @@ func main() {
 		threshold = flag.Float64("threshold", 1.25, "regression threshold for -baseline: fail when new mean > old mean x this")
 		regressOK = flag.Bool("regress-ok", false, "with -baseline: report regressions but exit zero (CI report-only mode)")
 		effCheck  = flag.Bool("efficiency-check", false, "with -json/-baseline: fail unless the efficiency section exists, its numbers are internally consistent and lane events balanced (the sched-smoke gate)")
-		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation and none silently fell back to the adaptive kernel (the bench-plans-smoke gate)")
+		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation (the bench-plans-smoke gate)")
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)

@@ -67,7 +67,7 @@ func main() {
 	// unknown drug (a data-entry error).
 	target := kb.Facts.Clone()
 	target.MustSetValue(kbrepair.Position{Fact: 1, Arg: 0}, kbrepair.Const("Mike"))
-	target.MustSetValue(kbrepair.Position{Fact: 5, Arg: 0}, target.FreshNull())
+	target.MustSetValue(kbrepair.Position{Fact: 5, Arg: 0}, target.NullForPos(kbrepair.Position{Fact: 5, Arg: 0}))
 
 	oracle := kbrepair.NewOracle(target, 1)
 	engine := kbrepair.NewEngine(kb, kbrepair.RandomStrategy(), oracle, 1, kbrepair.EngineOptions{})

@@ -302,7 +302,8 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 //     applicability check reads nothing but head-predicate indexes, so
 //     without such an overlap the snapshot answer still stands. This makes
 //     the committed facts, their ids and their provenance identical to
-//     those of a fully sequential run (see RunSequentialReference).
+//     those of a fully sequential run (the test-only
+//     RunSequentialReference).
 //
 // The round gauge is written only here, between phases, never from the
 // workers.

@@ -125,7 +125,7 @@ func TestTrackerInitialAndUpdate(t *testing.T) {
 	}
 	// Fix the allergy to a fresh null: conflict disappears.
 	p := store.Position{Fact: 1, Arg: 1}
-	s.MustSetValue(p, s.FreshNull())
+	s.MustSetValue(p, s.NullForPos(p))
 	tr.Update(1)
 	if tr.Len() != 0 {
 		t.Errorf("conflicts after repair = %d, want 0", tr.Len())

@@ -236,7 +236,7 @@ func TestApplyDiffRoundTrip(t *testing.T) {
 			seen[p] = true
 			var v logic.Term
 			if r.Intn(3) == 0 {
-				v = s.FreshNull()
+				v = s.NullForPos(p)
 			} else {
 				v = consts[r.Intn(3)]
 			}

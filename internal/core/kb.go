@@ -85,11 +85,7 @@ func IsDegenerateCDD(c *logic.CDD) bool {
 	for _, a := range c.Body {
 		if !added[a.Pred] {
 			added[a.Pred] = true
-			args := make([]logic.Term, a.Arity())
-			for i := range args {
-				args[i] = anon.FreshNull()
-			}
-			anon.MustAdd(logic.NewAtom(a.Pred, args...))
+			anon.MustAdd(logic.NewAtom(a.Pred, anonArgs(anon, a.Arity())...))
 		}
 	}
 	// Compiled uncached on purpose: the shared plan cache key {c, TagBody} is
@@ -97,6 +93,16 @@ func IsDegenerateCDD(c *logic.CDD) bool {
 	// scan. Binding the cached plan's join order to this one-fact anonymized
 	// store would poison the order for the store that matters.
 	return homo.Compile(c.Body).Exists(anon)
+}
+
+// anonArgs returns the arguments of the next fact of a fully anonymized
+// store: the null attributed to each of its positions.
+func anonArgs(anon *store.Store, arity int) []logic.Term {
+	args := make([]logic.Term, arity)
+	for i := range args {
+		args[i] = anon.NullForPos(store.Position{Fact: store.FactID(anon.Len()), Arg: i})
+	}
+	return args
 }
 
 // Clone returns a copy of the KB with an independent fact store. Rules are
@@ -165,11 +171,7 @@ func (kb *KB) RulesCompatible() (bool, error) {
 	}
 	anon := store.New()
 	for p, arity := range preds {
-		args := make([]logic.Term, arity)
-		for i := range args {
-			args[i] = anon.FreshNull()
-		}
-		anon.MustAdd(logic.NewAtom(p, args...))
+		anon.MustAdd(logic.NewAtom(p, anonArgs(anon, arity)...))
 	}
 	return chase.IsConsistentOpt(anon, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }

@@ -71,19 +71,16 @@ func (pi Pi) Add(p Position) { pi[p] = true }
 func (pi Pi) Has(p Position) bool { return pi[p] }
 
 // nulledCopy builds the Algorithm 1 instance in one pass: a store with the
-// same fact ids where every position outside Π holds a fresh existential
-// variable and Π positions keep their values.
+// same fact ids where every position outside Π holds the fresh existential
+// variable attributed to it (store.NullForPos, escaped against the source
+// store, so it can join with nothing) and Π positions keep their values.
 func nulledCopy(facts *store.Store, pi Pi) *store.Store {
 	out := store.New()
-	// Never allocate a null label the source store may already contain (at
-	// a Π position) or may already have handed out as a candidate fix
-	// value — a label collision would fabricate joins.
-	out.ReserveNulls(facts.NullSeq())
 	for _, id := range facts.IDs() {
 		a := facts.Fact(id)
 		for i := range a.Args {
-			if !pi.Has(Position{Fact: id, Arg: i}) {
-				a.Args[i] = out.FreshNull()
+			if p := (Position{Fact: id, Arg: i}); !pi.Has(p) {
+				a.Args[i] = facts.NullForPos(p)
 			}
 		}
 		out.MustAdd(a)

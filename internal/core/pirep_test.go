@@ -143,7 +143,8 @@ func TestPiHelpers(t *testing.T) {
 func TestPiCheckerFastPathNull(t *testing.T) {
 	kb := example37(t)
 	pc := NewPiChecker(kb)
-	f := Fix{Pos: Position{Fact: 0, Arg: 1}, Value: kb.Facts.FreshNull()}
+	p := Position{Fact: 0, Arg: 1}
+	f := Fix{Pos: p, Value: kb.Facts.NullForPos(p)}
 	ok, err := pc.CheckWithFix(NewPi(), f)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +258,7 @@ func TestPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 		var v logic.Term
 		switch r.Intn(3) {
 		case 0:
-			v = kb.Facts.FreshNull()
+			v = kb.Facts.NullForPos(pos)
 		case 1:
 			v = consts[r.Intn(3)]
 		default:
@@ -290,38 +291,45 @@ func TestPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 }
 
 // TestNulledCopyLabelCollision is a regression test: the Algorithm 1
-// instance must never allocate a fresh null whose label collides with a
-// null already sitting at a Π position (or handed out as a candidate fix
-// value) — a collision fabricates joins and flips the answer.
+// instance must never name a fresh null whose label collides with a null
+// already sitting at a Π position (or handed out as a candidate fix value)
+// — a collision fabricates joins and flips the answer. The pinned null is
+// either an arbitrary label or the natural label of the very position the
+// join would need (q's first argument, #1@0).
 func TestNulledCopyLabelCollision(t *testing.T) {
-	s := store.MustFromAtoms([]logic.Atom{
-		logic.NewAtom("p", logic.C("a"), logic.N("n1")),
-		logic.NewAtom("q", logic.C("c"), logic.C("d")),
-	})
-	cdd := logic.MustCDD([]logic.Atom{
-		logic.NewAtom("p", logic.V("X"), logic.V("Y")),
-		logic.NewAtom("q", logic.V("Y"), logic.V("Z")),
-	})
-	kb := MustKB(s, nil, []*logic.CDD{cdd})
-	// Pin the _:n1 position: with a colliding fresh null at q's first
-	// argument the CDD body would spuriously match.
-	pi := NewPi(Position{Fact: 0, Arg: 1})
-	ok, err := PiRepairable(kb, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("label collision fabricated a join: Π-repairable KB reported unrepairable")
-	}
-	// Same through the checker's full-check path: the fix value "d" occurs
-	// at no Π position but is in the store, forcing a full check.
-	pc := NewPiChecker(kb)
-	pc.Optimized = false
-	got, err := pc.CheckWithFix(pi, Fix{Pos: Position{Fact: 1, Arg: 0}, Value: logic.C("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("full check fabricated a join under pinned null")
+	for _, label := range []string{"n1", "f1a0"} {
+		s := store.MustFromAtoms([]logic.Atom{
+			logic.NewAtom("p", logic.C("a"), logic.N(label)),
+			logic.NewAtom("q", logic.C("c"), logic.C("d")),
+		})
+		cdd := logic.MustCDD([]logic.Atom{
+			logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+			logic.NewAtom("q", logic.V("Y"), logic.V("Z")),
+		})
+		kb := MustKB(s, nil, []*logic.CDD{cdd})
+		// Pin the null's position: with a colliding fresh null at q's first
+		// argument the CDD body would spuriously match.
+		pi := NewPi(Position{Fact: 0, Arg: 1})
+		ok, err := PiRepairable(kb, pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Errorf("%s: label collision fabricated a join: Π-repairable KB reported unrepairable", label)
+		}
+		// Same through the checker's full-check path, both for a constant
+		// and for the fresh null offered at q's first argument.
+		pc := NewPiChecker(kb)
+		pc.Optimized = false
+		q0 := Position{Fact: 1, Arg: 0}
+		for _, v := range []logic.Term{logic.C("x"), kb.Facts.NullForPos(q0)} {
+			got, err := pc.CheckWithFix(pi, Fix{Pos: q0, Value: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got {
+				t.Errorf("%s: full check of fix value %v fabricated a join under pinned null", label, v)
+			}
+		}
 	}
 }

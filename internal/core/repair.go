@@ -119,7 +119,7 @@ func MinimizeCFix(kb *KB, fs FixSet) (FixSet, error) {
 func GuaranteedCFix(kb *KB) FixSet {
 	var out FixSet
 	for _, p := range kb.Facts.Positions() {
-		out = append(out, Fix{Pos: p, Value: kb.Facts.FreshNull()})
+		out = append(out, Fix{Pos: p, Value: kb.Facts.NullForPos(p)})
 	}
 	return out
 }
@@ -136,17 +136,9 @@ func UpdateRepair(kb *KB, fs FixSet) (*KB, error) {
 
 // FixValues enumerates the candidate values for a position per Def. 3.1:
 // the active domain of (pred, arg) minus the current value, plus one fresh
-// null uniquely attributed to the position.
+// null uniquely attributed to the position (store.NullForPos, last). It only
+// reads the store, so fix generation for many positions can fan out.
 func FixValues(kb *KB, pos Position) []logic.Term {
-	return FixValuesWith(kb, pos, kb.Facts.FreshNull())
-}
-
-// FixValuesWith is FixValues with the position's fresh null minted by the
-// caller. Unlike FixValues it only reads the store, so callers generating
-// fixes for many positions can mint the nulls sequentially (FreshNull
-// advances the store's null sequence — its order must not depend on worker
-// scheduling) and fan the active-domain enumeration out across workers.
-func FixValuesWith(kb *KB, pos Position, null logic.Term) []logic.Term {
 	a := kb.Facts.FactRef(pos.Fact)
 	cur := kb.Facts.Value(pos)
 	dom := kb.Facts.ActiveDomain(a.Pred, pos.Arg)
@@ -156,6 +148,5 @@ func FixValuesWith(kb *KB, pos Position, null logic.Term) []logic.Term {
 			out = append(out, t)
 		}
 	}
-	out = append(out, null)
-	return out
+	return append(out, kb.Facts.NullForPos(pos))
 }

@@ -43,7 +43,6 @@ func (r *Repair) InformationLoss(original *store.Store) int {
 // survivors materializes the store left after removing the given facts.
 func survivors(s *store.Store, removed map[store.FactID]bool) (*store.Store, error) {
 	out := store.New()
-	out.ReserveNulls(s.NullSeq())
 	for _, id := range s.IDs() {
 		if !removed[id] {
 			if _, err := out.Add(s.FactRef(id)); err != nil {
@@ -95,7 +94,6 @@ func currentConflicts(kb *core.KB, removed map[store.FactID]bool) ([]*conflict.C
 	// Build the survivor store, remembering the id mapping back to the
 	// original so conflicts can be reported in original ids.
 	sub := store.New()
-	sub.ReserveNulls(kb.Facts.NullSeq())
 	back := make(map[store.FactID]store.FactID)
 	for _, id := range kb.Facts.IDs() {
 		if removed[id] {

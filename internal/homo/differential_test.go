@@ -123,12 +123,12 @@ func TestPlanDifferentialRepeatedVars(t *testing.T) {
 }
 
 // compileVariants is the kernel matrix each differential body runs through:
-// structural auto, stats-informed auto, and both forced kernels.
+// structural auto, stats-informed auto, and both kernels forced.
 func compileVariants(g *synth.Generated) []homo.CompileOpts {
 	return []homo.CompileOpts{
 		{},
 		{Stats: g.KB.Facts},
-		{Mode: homo.ModeAdaptive},
+		{Mode: homo.ModeStatic},
 		{Mode: homo.ModeWCOJ},
 	}
 }

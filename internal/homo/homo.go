@@ -13,13 +13,12 @@
 // chosen at compile time (see order.go): acyclic bodies execute a fixed
 // atom order picked by a cost-based orderer (with one-step forward
 // checking), cyclic bodies — in the GYO ear-removal sense — execute a
-// variable-at-a-time generic join (see wcoj.go), and the legacy per-node
-// adaptive ordering survives only behind an explicit CompileOpts.Mode for
-// comparison. Rule-derived conjunctions share compiled plans through
-// CachedPlan, keyed by rule identity plus the compile spec; CompileOpts
-// also supports seed-specialized plans whose Prebound variables count as
-// bound for ordering. The package-level functions below compile on the fly
-// and are kept as the convenience API for ad-hoc bodies.
+// variable-at-a-time generic join (see wcoj.go). Rule-derived conjunctions
+// share compiled plans through CachedPlan, keyed by rule identity plus the
+// compile spec; CompileOpts also supports seed-specialized plans whose
+// Prebound variables count as bound for ordering. The package-level
+// functions below compile on the fly and are kept as the convenience API
+// for ad-hoc bodies.
 //
 // The engine's contract is the SET of matches: two plans for the same body
 // always produce equal match sets, but enumeration order is a plan

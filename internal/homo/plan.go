@@ -70,8 +70,7 @@ type Plan struct {
 	slotOf    map[logic.Term]int
 	slotAtoms [][]int // slot -> indices of atoms mentioning it
 	pool      sync.Pool
-	// mode is the kernel resolved at compile time (static, wcoj or the
-	// explicitly requested legacy adaptive).
+	// mode is the kernel resolved at compile time (static or wcoj).
 	mode Mode
 	// order is the static kernel's atom visit order; vorder is the wcoj
 	// kernel's slot binding order. Only the resolved mode's field is set.
@@ -141,7 +140,6 @@ func CompileWith(body []logic.Atom, opts CompileOpts) *Plan {
 		preNames = append(preNames, v.Name)
 	}
 	mode := opts.Mode
-	forced := mode != ModeAuto
 	if mode == ModeAuto {
 		if p.isCyclic() {
 			mode = ModeWCOJ
@@ -170,7 +168,6 @@ func CompileWith(body []logic.Atom, opts CompileOpts) *Plan {
 			Order:    orderDesc,
 			Prebound: preNames,
 			Stats:    opts.Stats != nil,
-			Forced:   forced,
 		})
 	}
 	p.pool.New = func() any { return newExec(p) }
@@ -260,7 +257,6 @@ type exec struct {
 	set   []bool       // slot -> bound?
 	trail []int        // bound slots in binding order; undo = truncate
 
-	done  []bool
 	facts []store.FactID
 
 	// Candidate cache: cands[i] is valid while fresh[i] holds. A slot
@@ -298,7 +294,6 @@ func newExec(p *Plan) *exec {
 		bind:    make([]logic.Term, len(p.vars)),
 		set:     make([]bool, len(p.vars)),
 		trail:   make([]int, 0, len(p.vars)),
-		done:    make([]bool, n),
 		facts:   make([]store.FactID, n),
 		cands:   make([][]store.FactID, n),
 		fresh:   make([]bool, n),
@@ -319,8 +314,7 @@ func (e *exec) reset(s *store.Store, seed logic.Subst, fn func(Match) bool) {
 	for i := range e.set {
 		e.set[i] = false
 	}
-	for i := range e.done {
-		e.done[i] = false
+	for i := range e.fresh {
 		e.fresh[i] = false
 	}
 	e.trail = e.trail[:0]
@@ -352,8 +346,8 @@ func (e *exec) release() {
 // one-step forward checking: after extending the bindings it peeks at the
 // next atom's candidate list — served from the per-atom cache, so the peek
 // costs at most one index probe — and skips the child node outright when
-// the list is empty. The adaptive kernel pays a full node to discover the
-// same dead end, so at equal order quality static trees are strictly
+// the list is empty. A kernel without the peek pays a full node to discover
+// the same dead end, so at equal order quality static trees are strictly
 // smaller on failing branches.
 func (e *exec) runStatic(depth int) {
 	if e.stopped {
@@ -389,66 +383,6 @@ func (e *exec) runStatic(depth int) {
 			break
 		}
 	}
-}
-
-// run matches the remaining len(atoms)-depth atoms — the same search tree,
-// node for node, as the legacy engine's search.run. Kept as the explicitly
-// selectable ModeAdaptive kernel.
-func (e *exec) run(depth int) {
-	if e.stopped {
-		return
-	}
-	e.nodes++
-	if depth == len(e.p.atoms) {
-		e.matches++
-		if e.fn == nil { // exists-only mode
-			e.matched = true
-			e.stopped = true
-			return
-		}
-		if !e.fn(Match{Subst: e.materialize(), Facts: e.facts}) {
-			e.stopped = true
-		}
-		return
-	}
-	idx, cands := e.pickAtom()
-	e.done[idx] = true
-	for _, fid := range cands {
-		fact := e.s.FactRef(fid)
-		mark := len(e.trail)
-		if e.matchAtom(idx, fact) {
-			e.facts[idx] = fid
-			e.run(depth + 1)
-		}
-		e.undo(mark)
-		if e.stopped {
-			break
-		}
-	}
-	e.done[idx] = false
-}
-
-// pickAtom selects the unmatched atom with the fewest candidates under the
-// current bindings — identical selection (including tie-breaking by body
-// order and the zero-candidate early break) to the legacy engine, but
-// candidate lists are served from the per-atom cache when still fresh.
-func (e *exec) pickAtom() (int, []store.FactID) {
-	bestIdx := -1
-	var bestCands []store.FactID
-	bestCount := int(^uint(0) >> 1)
-	for i := range e.p.atoms {
-		if e.done[i] {
-			continue
-		}
-		c := e.candidates(i)
-		if len(c) < bestCount {
-			bestIdx, bestCands, bestCount = i, c, len(c)
-			if bestCount == 0 {
-				break
-			}
-		}
-	}
-	return bestIdx, bestCands
 }
 
 // candidates returns the most selective index list for atom i, recomputing
@@ -602,8 +536,6 @@ func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) boo
 	switch p.mode {
 	case ModeWCOJ:
 		e.runWCOJ()
-	case ModeAdaptive:
-		e.run(0)
 	default:
 		e.runStatic(0)
 	}

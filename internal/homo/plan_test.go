@@ -79,7 +79,6 @@ func TestPlanMatchesReference(t *testing.T) {
 	for _, opts := range []CompileOpts{
 		{},
 		{Stats: s},
-		{Mode: ModeAdaptive},
 		{Mode: ModeWCOJ},
 	} {
 		got := matchSet(collectPlan(CompileWith(body, opts), s, nil))
@@ -106,7 +105,6 @@ func TestPlanSeededMatchesReference(t *testing.T) {
 		{},
 		{Stats: s},
 		{Stats: s, Prebound: []logic.Term{logic.V("Y"), logic.V("W")}},
-		{Mode: ModeAdaptive},
 		{Mode: ModeWCOJ},
 	} {
 		got := matchSet(collectPlan(CompileWith(body, opts), s, seed))
@@ -116,10 +114,10 @@ func TestPlanSeededMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlanNodesNotWorseThanReference asserts the tentpole's perf criterion at
+// TestPlanNodesNotWorseThanReference pins the static kernel's tree size at
 // unit granularity: the stats-informed static kernel explores no more
-// backtrack nodes than the legacy adaptive reference on the same workload,
-// and finds exactly as many matches.
+// backtrack nodes than the per-node adaptive reference executor on the same
+// workload, and finds exactly as many matches.
 func TestPlanNodesNotWorseThanReference(t *testing.T) {
 	s, body := planFixture(t, 60)
 

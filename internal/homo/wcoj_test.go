@@ -117,13 +117,13 @@ func TestWCOJZeroAllocCached(t *testing.T) {
 }
 
 // BenchmarkWCOJTriangle compares the kernels on the triangle workload in one
-// run: generic join vs the legacy adaptive order.
+// run: generic join vs a forced static order.
 func BenchmarkWCOJTriangle(b *testing.B) {
 	s, body := triangleFixture(b, 16)
 	for _, tc := range []struct {
 		name string
 		mode Mode
-	}{{"wcoj", ModeWCOJ}, {"adaptive", ModeAdaptive}} {
+	}{{"wcoj", ModeWCOJ}, {"static", ModeStatic}} {
 		b.Run(tc.name, func(b *testing.B) {
 			p := CompileWith(body, CompileOpts{Stats: s, Mode: tc.mode})
 			fn := func(Match) bool { return true }

@@ -239,7 +239,7 @@ func TestOracleSoundness(t *testing.T) {
 		kb := fig1aKB(t)
 		// Oracle repair: John's allergy becomes unknown (F3 of Ex. 1.3).
 		target := kb.Facts.Clone()
-		target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.FreshNull())
+		target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.NullForPos(core.Position{Fact: 1, Arg: 1}))
 		oracle := NewOracle(target, seed)
 		e := New(kb, Random{}, oracle, seed, Options{})
 		res, err := e.RunBasic()
@@ -271,7 +271,7 @@ func TestOracleSoundnessWithTGDs(t *testing.T) {
 		// dropping either leaves a violation, so the diff is an r-fix.)
 		target := kb.Facts.Clone()
 		target.MustSetValue(core.Position{Fact: 1, Arg: 0}, logic.C("Mike"))
-		target.MustSetValue(core.Position{Fact: 5, Arg: 0}, target.FreshNull())
+		target.MustSetValue(core.Position{Fact: 5, Arg: 0}, target.NullForPos(core.Position{Fact: 5, Arg: 0}))
 		// Sanity: the target must be a consistent KB.
 		tkb := &core.KB{Facts: target.Clone(), TGDs: kb.TGDs, CDDs: kb.CDDs}
 		if ok, err := tkb.IsConsistent(); err != nil || !ok {
@@ -299,8 +299,8 @@ func TestOracleSoundnessWithTGDs(t *testing.T) {
 func TestOracleAnswersEveryQuestion(t *testing.T) {
 	kb := fig1bKB(t)
 	target := kb.Facts.Clone()
-	target.MustSetValue(core.Position{Fact: 0, Arg: 0}, target.FreshNull())
-	target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.FreshNull())
+	target.MustSetValue(core.Position{Fact: 0, Arg: 0}, target.NullForPos(core.Position{Fact: 0, Arg: 0}))
+	target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.NullForPos(core.Position{Fact: 1, Arg: 1}))
 	tkb := &core.KB{Facts: target.Clone(), TGDs: kb.TGDs, CDDs: kb.CDDs}
 	if ok, _ := tkb.IsConsistent(); !ok {
 		t.Fatal("target not consistent")

@@ -11,7 +11,6 @@ import (
 
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
-	"kbrepair/internal/logic"
 	"kbrepair/internal/par"
 )
 
@@ -61,19 +60,13 @@ func SoundQuestion(kb *core.KB, pc *core.PiChecker, pi core.Pi, positions []core
 		seen[pos] = true
 		eligible = append(eligible, pos)
 	}
-	// Each position's fresh null is minted here, sequentially in position
-	// order: FreshNull advances the store's null sequence, so minting inside
-	// the fan-out below would tie null labels to worker scheduling. The
-	// active-domain enumeration per position is read-only and fans out; the
-	// per-position fix lists merge in position order, so the candidate list —
-	// and therefore the question — is identical at every worker count.
-	nulls := make([]logic.Term, len(eligible))
-	for i := range eligible {
-		nulls[i] = kb.Facts.FreshNull()
-	}
+	// Fix values only read the store (each position's fresh null is a
+	// function of the position), so enumeration fans out; the per-position
+	// fix lists merge in position order, so the candidate list — and
+	// therefore the question — is identical at every worker count.
 	perPos := par.MapNamed("inquiry.fixgen", len(eligible), func(i int) core.FixSet {
 		pos := eligible[i]
-		vals := core.FixValuesWith(kb, pos, nulls[i])
+		vals := core.FixValues(kb, pos)
 		if maxValues > 0 && len(vals) > maxValues {
 			// Keep the fresh null (last) and the first maxValues-1 domain
 			// values; the null guarantees answerability.

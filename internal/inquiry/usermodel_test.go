@@ -10,7 +10,7 @@ import (
 func TestNoisyOracleZeroNoiseEqualsOracle(t *testing.T) {
 	kb := fig1aKB(t)
 	target := kb.Facts.Clone()
-	target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.FreshNull())
+	target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.NullForPos(core.Position{Fact: 1, Arg: 1}))
 	noisy := NewNoisyOracle(NewOracle(target, 1), 0, 1)
 	e := New(kb, Random{}, noisy, 1, Options{})
 	res, err := e.RunBasic()
@@ -35,7 +35,7 @@ func TestNoisyOracleAlwaysTerminatesConsistent(t *testing.T) {
 		kb := fig1bKB(t)
 		target := kb.Facts.Clone()
 		target.MustSetValue(core.Position{Fact: 1, Arg: 0}, logic.C("Mike"))
-		target.MustSetValue(core.Position{Fact: 5, Arg: 0}, target.FreshNull())
+		target.MustSetValue(core.Position{Fact: 5, Arg: 0}, target.NullForPos(core.Position{Fact: 5, Arg: 0}))
 		noisy := NewNoisyOracle(NewOracle(target, seed), 1.0, seed)
 		e := New(kb, Random{}, noisy, seed, Options{})
 		res, err := e.Run()

@@ -7,6 +7,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -91,11 +92,8 @@ func (t Term) Compare(u Term) int {
 	return strings.Compare(t.Name, u.Name)
 }
 
-// SortTerms sorts terms in place with Term.Compare order.
+// SortTerms sorts terms in place with Term.Compare order. Terms that compare
+// equal are equal values, so the unstable sort's output is unique.
 func SortTerms(ts []Term) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Compare(ts[j-1]) < 0; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
+	slices.SortFunc(ts, Term.Compare)
 }

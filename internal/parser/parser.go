@@ -16,29 +16,11 @@ type Document struct {
 	CDDs  []*logic.CDD
 }
 
-// Store builds an indexed fact store from the document's facts, reserving
-// null labels so engine-allocated fresh nulls cannot collide with the
-// parsed ones.
+// Store builds an indexed fact store from the document's facts. Parsed
+// nulls need no reservation: the store escapes every null it names against
+// its own contents.
 func (d *Document) Store() (*store.Store, error) {
-	s, err := store.FromAtoms(d.Facts)
-	if err != nil {
-		return nil, err
-	}
-	maxLabel := 0
-	for _, a := range d.Facts {
-		for _, t := range a.Args {
-			if t.IsNull() {
-				// Overflow-guarded: a label too large for int can never be
-				// minted by FreshNull, so it needs no reservation (and a
-				// wrapped parse must not corrupt the counter).
-				if n, ok := store.ParseNumericNullLabel(t.Name); ok && n > maxLabel {
-					maxLabel = n
-				}
-			}
-		}
-	}
-	s.ReserveNulls(maxLabel)
-	return s, nil
+	return store.FromAtoms(d.Facts)
 }
 
 // Parse reads a whole knowledge base from the text format.

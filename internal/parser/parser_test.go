@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kbrepair/internal/logic"
+	"kbrepair/internal/store"
 )
 
 const fig1bText = `
@@ -64,8 +65,10 @@ func TestParseNulls(t *testing.T) {
 	}
 }
 
+// TestParseNullReservation: nulls the store names for positions must not
+// collide with parsed nulls that already carry those labels.
 func TestParseNullReservation(t *testing.T) {
-	doc, err := Parse(`p(_:n7). q(_:other).`)
+	doc, err := Parse(`p(_:f0a0). q(_:f1a0, _:f0a0c1).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,31 +76,13 @@ func TestParseNullReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh nulls must not collide with the parsed _:n7.
-	n := s.FreshNull()
-	if n == logic.N("n7") {
-		t.Error("fresh null collided with parsed null")
+	for _, p := range s.Positions() {
+		if n := s.NullForPos(p); s.OccursAnywhere(n) {
+			t.Errorf("NullForPos(%s) = %v collides with a parsed null", p, n)
+		}
 	}
-}
-
-// TestParseNullReservationOverflow: a parsed numeric null label beyond
-// MaxInt used to wrap the reservation parse. Such labels are unreachable
-// for FreshNull, so they must be ignored — without disturbing reservation
-// of the sane labels next to them.
-func TestParseNullReservationOverflow(t *testing.T) {
-	doc, err := Parse(`p(_:n9999999999999999999999). q(_:n3).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := doc.Store()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.NullSeq(); got != 3 {
-		t.Errorf("NullSeq = %d, want 3 (overflowing label ignored, n3 reserved)", got)
-	}
-	if n := s.FreshNull(); n != logic.N("n4") {
-		t.Errorf("FreshNull = %v, want n4", n)
+	if n := s.NullForPos(store.Position{Fact: 0, Arg: 0}); n != logic.N("f0a0c2") {
+		t.Errorf("NullForPos(#0@0) = %v, want f0a0c2", n)
 	}
 }
 

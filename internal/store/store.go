@@ -20,11 +20,11 @@
 //
 // A Store is safe for concurrent readers, and only readers: any number of
 // goroutines may call the read-side accessors (Candidates,
-// CandidatesByPred, ActiveDomain, FactRef, Value, Contains, NullForCoord, …)
-// simultaneously as long as no goroutine mutates the store (Add, AddBatch,
-// SetValue, FreshNull, ReserveNulls) in the same window. Writes require
-// exclusive access; the caller provides that exclusion — the store has no
-// internal locking, because the repair pipeline's phases are already strictly
+// CandidatesByPred, ActiveDomain, FactRef, Value, Contains, NullForPos,
+// NullForCoord, …) simultaneously as long as no goroutine mutates the store
+// (Add, AddBatch, SetValue) in the same window. Writes require exclusive
+// access; the caller provides that exclusion — the store has no internal
+// locking, because the repair pipeline's phases are already strictly
 // "parallel read, then sequential write" (parallel conflict detection, chase
 // trigger collection and speculative rule firing read; fix application and
 // the chase commit phase write from one goroutine between fan-outs). Metric
@@ -33,7 +33,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,12 +84,6 @@ type Store struct {
 	adom   map[adomKey]map[logic.Term]int // value -> occurrence count
 	vals   map[logic.Term]int             // global value -> occurrence count
 	byKey  map[string][]FactID            // ground-atom key -> facts with that atom
-	// nullSeq allocates fresh labeled nulls. It is monotone and shared
-	// across clones' lineage by value copying at clone time: a clone starts
-	// where the parent was, so nulls created after the clone in either copy
-	// may collide between the two stores — but never within one store,
-	// which is the invariant the algorithms need.
-	nullSeq int
 }
 
 // New returns an empty store.
@@ -287,13 +280,6 @@ func (s *Store) keyIndexRemove(key string, id FactID) {
 }
 
 func (s *Store) adomAdd(pred string, arg int, t logic.Term) {
-	// Auto-reserve numeric null labels so FreshNull can never collide with
-	// a null inserted from outside (parsed files, hand-built stores).
-	if t.Kind == logic.Null && len(t.Name) > 1 && t.Name[0] == 'n' {
-		if n, ok := ParseNumericNullLabel(t.Name); ok {
-			s.ReserveNulls(n)
-		}
-	}
 	k := adomKey{pred, arg}
 	m := s.adom[k]
 	if m == nil {
@@ -440,48 +426,37 @@ func (s *Store) NumPositions() int {
 	return n
 }
 
-// ParseNumericNullLabel parses a FreshNull-shaped label "n<digits>" and
-// returns its counter value. It reports false for any other shape — and,
-// critically, for digit strings that overflow int: FreshNull renders an int,
-// so a label whose numeric value does not fit in one can never collide with
-// a FreshNull allocation, and reserving a silently wrapped value would at
-// best no-op and at worst (32-bit int) under-reserve, letting FreshNull
-// later mint a label equal to an externally inserted null.
-func ParseNumericNullLabel(name string) (int, bool) {
-	if len(name) < 2 || name[0] != 'n' {
-		return 0, false
-	}
-	n := 0
-	for i := 1; i < len(name); i++ {
-		c := name[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := int(c - '0')
-		if n > (math.MaxInt-d)/10 {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
-}
+// Fresh nulls.
+//
+// The store is the only place that names labeled nulls. A null is named by
+// where it is attributed — a position (NullForPos: Def. 3.1's fresh
+// existential variable, Algorithm 1's nulled positions) or a chase firing
+// coordinate (NullForCoord) — and escaped against the store's contents, so a
+// label is a pure function of (attribution, store) and no counter exists.
+// Freshness means "occurs nowhere in the store", which is what Lemma 4.3(3)
+// and Algorithm 1 need. The two shapes cannot meet: position labels start
+// with 'f', coordinate labels with 'n', and each shape's digit runs are
+// delimited by fixed letters, so distinct attributions never share a label,
+// escaped or not. Every label is identifier-safe for the parser's "_:label"
+// null syntax.
 
-// FreshNull allocates a labeled null that has never been used by this store
-// (nor by any ancestor it was cloned from).
-func (s *Store) FreshNull() logic.Term {
-	s.nullSeq++
-	return logic.N("n" + strconv.Itoa(s.nullSeq))
+// posNullLabel renders the natural label of the null attributed to a
+// position: "f<fact>a<arg>".
+func posNullLabel(p Position) string {
+	b := make([]byte, 0, 12)
+	b = append(b, 'f')
+	b = strconv.AppendInt(b, int64(p.Fact), 10)
+	b = append(b, 'a')
+	b = strconv.AppendInt(b, int64(p.Arg), 10)
+	return string(b)
 }
 
 // CoordNullLabel renders the deterministic label of the null invented at
 // chase firing coordinate (round, rule index, trigger index, existential-var
 // index): "n<round>r<rule>t<trig>x<ex>". The label is a function of the
-// coordinate alone — not of any allocation counter — so a firing's nulls do
-// not depend on which firings preceded it, which is what lets chase rule
-// firing fan out across workers while staying byte-identical at every worker
-// count. All characters are identifier-safe for the parser's "_:label" null
-// syntax, and the shape is never purely numeric, so the FreshNull
-// auto-reserve in adomAdd ignores it.
+// coordinate alone, so a firing's nulls do not depend on which firings
+// preceded it, which is what lets chase rule firing fan out across workers
+// while staying byte-identical at every worker count.
 func CoordNullLabel(round, rule, trig, ex int) string {
 	b := make([]byte, 0, 16)
 	b = append(b, 'n')
@@ -495,52 +470,42 @@ func CoordNullLabel(round, rule, trig, ex int) string {
 	return string(b)
 }
 
+// NullForPos returns the fresh existential variable uniquely attributed to
+// position p (Def. 3.1): the null labeled "f<fact>a<arg>", escaped against
+// the store's contents. It only reads the store, so it is safe under the
+// concurrent-read contract. p need not be a position of the store yet.
+func (s *Store) NullForPos(p Position) logic.Term {
+	return s.escapedNull(posNullLabel(p))
+}
+
 // NullForCoord returns the invented null for a chase firing coordinate,
-// deterministically escaped against the store's current contents: if the
-// coordinate label already occurs anywhere in the store — an externally
-// inserted coordinate-shaped null, or the inventions of a previous chase
-// when a chase result is chased again — successive "c1", "c2", … suffixes
-// are tried until a free label is found. The method only reads the store
-// (no counter is consumed), so it is safe under the concurrent-read
-// contract and the result depends only on store contents, never on
-// allocation order.
+// escaped against the store's contents (which may hold the inventions of a
+// previous chase when a chase result is chased again). Like NullForPos it
+// only reads the store.
 func (s *Store) NullForCoord(round, rule, trig, ex int) logic.Term {
-	t := logic.N(CoordNullLabel(round, rule, trig, ex))
-	if s.vals[t] == 0 {
-		return t
-	}
-	for k := 1; ; k++ {
-		esc := logic.N(t.Name + "c" + strconv.Itoa(k))
-		if s.vals[esc] == 0 {
-			return esc
-		}
-	}
+	return s.escapedNull(CoordNullLabel(round, rule, trig, ex))
 }
 
-// ReserveNulls bumps the fresh-null counter so that subsequently allocated
-// nulls do not collide with externally created labels n1..n(k).
-func (s *Store) ReserveNulls(k int) {
-	if k > s.nullSeq {
-		s.nullSeq = k
+// escapedNull returns the null labeled label when it occurs nowhere in the
+// store, and otherwise the first of label+"c1", label+"c2", … that does
+// not. The escape depends only on the store's contents.
+func (s *Store) escapedNull(label string) logic.Term {
+	t := logic.N(label)
+	for k := 1; s.vals[t] != 0; k++ {
+		t = logic.N(label + "c" + strconv.Itoa(k))
 	}
+	return t
 }
 
-// NullSeq returns the current fresh-null counter; a derived store that
-// reserves this many labels will never allocate a null colliding with one
-// this store has handed out.
-func (s *Store) NullSeq() int { return s.nullSeq }
-
-// Clone returns a deep copy of the store. The copy has the same FactIDs and
-// the same fresh-null counter position.
+// Clone returns a deep copy of the store. The copy has the same FactIDs.
 func (s *Store) Clone() *Store {
 	c := &Store{
-		facts:   make([]logic.Atom, len(s.facts)),
-		byPred:  make(map[string][]FactID, len(s.byPred)),
-		index:   make(map[indexKey][]FactID, len(s.index)),
-		adom:    make(map[adomKey]map[logic.Term]int, len(s.adom)),
-		vals:    make(map[logic.Term]int, len(s.vals)),
-		byKey:   make(map[string][]FactID, len(s.byKey)),
-		nullSeq: s.nullSeq,
+		facts:  make([]logic.Atom, len(s.facts)),
+		byPred: make(map[string][]FactID, len(s.byPred)),
+		index:  make(map[indexKey][]FactID, len(s.index)),
+		adom:   make(map[adomKey]map[logic.Term]int, len(s.adom)),
+		vals:   make(map[logic.Term]int, len(s.vals)),
+		byKey:  make(map[string][]FactID, len(s.byKey)),
 	}
 	for t, n := range s.vals {
 		c.vals[t] = n

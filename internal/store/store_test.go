@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -173,33 +172,6 @@ func TestPositionsAndValues(t *testing.T) {
 	}
 }
 
-func TestFreshNullUnique(t *testing.T) {
-	s := New()
-	seen := make(map[logic.Term]bool)
-	for i := 0; i < 1000; i++ {
-		n := s.FreshNull()
-		if !n.IsNull() {
-			t.Fatal("FreshNull returned non-null")
-		}
-		if seen[n] {
-			t.Fatalf("duplicate fresh null %v", n)
-		}
-		seen[n] = true
-	}
-}
-
-func TestReserveNulls(t *testing.T) {
-	s := New()
-	s.ReserveNulls(10)
-	if n := s.FreshNull(); n != logic.N("n11") {
-		t.Errorf("FreshNull after reserve = %v", n)
-	}
-	s.ReserveNulls(5) // lower reserve must not rewind
-	if n := s.FreshNull(); n != logic.N("n12") {
-		t.Errorf("FreshNull after lower reserve = %v", n)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	s := medStore(t)
 	c := s.Clone()
@@ -218,17 +190,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	// Clones continue the null sequence.
-	n1 := s.FreshNull()
-	n2 := c.FreshNull()
-	if n1 != n2 {
-		// They may be equal labels across stores; the invariant is only
-		// within-store uniqueness. Either outcome is fine; just assert
-		// non-empty.
-		if n1.Name == "" || n2.Name == "" {
-			t.Error("empty null label")
-		}
 	}
 }
 
@@ -297,7 +258,7 @@ func TestRandomMutationInvariants(t *testing.T) {
 			p := Position{Fact: id, Arg: r.Intn(s.Arity(id))}
 			var v logic.Term
 			if r.Intn(4) == 0 {
-				v = s.FreshNull()
+				v = s.NullForPos(p)
 			} else {
 				v = consts[r.Intn(len(consts))]
 			}
@@ -347,78 +308,11 @@ func TestAccessors(t *testing.T) {
 	if s.FactRef(0).Args[0] == logic.C("XXX") {
 		t.Error("Atoms shares storage")
 	}
-	if s.NullSeq() != 0 {
-		t.Errorf("NullSeq = %d", s.NullSeq())
-	}
-	s.FreshNull()
-	if s.NullSeq() != 1 {
-		t.Errorf("NullSeq after FreshNull = %d", s.NullSeq())
-	}
-}
-
-func TestAutoReserveNumericNullLabels(t *testing.T) {
-	s := New()
-	s.MustAdd(logic.NewAtom("p", logic.N("n42")))
-	if n := s.FreshNull(); n == logic.N("n42") {
-		t.Error("fresh null collided with inserted numeric label")
-	}
-	// Non-numeric labels do not advance the counter.
-	s2 := New()
-	s2.MustAdd(logic.NewAtom("p", logic.N("nope")))
-	if s2.NullSeq() != 0 {
-		t.Errorf("non-numeric label advanced counter to %d", s2.NullSeq())
-	}
-}
-
-// TestAutoReserveOverflowGuard is the regression test for the adomAdd parse
-// wrap: a numeric label larger than MaxInt used to overflow n*10+d, making
-// the auto-reserve either no-op or corrupt the counter. Such labels are
-// unreachable for FreshNull (which renders an int), so the correct behavior
-// is to ignore them entirely — and to keep reserving sane labels inserted
-// afterwards.
-func TestAutoReserveOverflowGuard(t *testing.T) {
-	s := New()
-	huge := "n9999999999999999999999" // 22 digits, far beyond MaxInt
-	s.MustAdd(logic.NewAtom("p", logic.N(huge)))
-	if s.NullSeq() != 0 {
-		t.Errorf("overflowing label moved counter to %d, want 0", s.NullSeq())
-	}
-	if n := s.FreshNull(); n != logic.N("n1") || n.Name == huge {
-		t.Errorf("FreshNull after overflowing label = %v, want n1", n)
-	}
-	// Sane labels still reserve after an overflowing one was seen.
-	s.MustAdd(logic.NewAtom("p", logic.N("n12")))
-	if n := s.FreshNull(); n != logic.N("n13") {
-		t.Errorf("FreshNull after n12 = %v, want n13", n)
-	}
-}
-
-func TestParseNumericNullLabel(t *testing.T) {
-	cases := []struct {
-		label string
-		n     int
-		ok    bool
-	}{
-		{"n7", 7, true},
-		{"n9223372036854775807", math.MaxInt64, true}, // exactly MaxInt on 64-bit
-		{"n9223372036854775808", 0, false},            // MaxInt64+1 overflows
-		{"n9999999999999999999", 0, false},
-		{"n", 0, false},
-		{"n12a", 0, false},
-		{"x12", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		n, ok := ParseNumericNullLabel(c.label)
-		if ok != c.ok || (ok && n != c.n) {
-			t.Errorf("ParseNumericNullLabel(%q) = (%d, %v), want (%d, %v)", c.label, n, ok, c.n, c.ok)
-		}
-	}
 }
 
 // TestNullForCoord pins the coordinate-null contract: labels are a pure
-// function of the firing coordinate, consume no allocation counter, and are
-// deterministically escaped when the store already holds the label.
+// function of the firing coordinate, and are deterministically escaped when
+// the store already holds the label.
 func TestNullForCoord(t *testing.T) {
 	s := New()
 	n := s.NullForCoord(2, 0, 17, 1)
@@ -428,15 +322,7 @@ func TestNullForCoord(t *testing.T) {
 	if s.NullForCoord(2, 0, 17, 1) != n {
 		t.Error("NullForCoord not idempotent for the same coordinate")
 	}
-	if s.NullSeq() != 0 {
-		t.Errorf("NullForCoord consumed the FreshNull counter: %d", s.NullSeq())
-	}
-	// Coordinate labels never look numeric, so they do not advance the
-	// FreshNull auto-reserve either.
 	s.MustAdd(logic.NewAtom("p", n))
-	if s.NullSeq() != 0 {
-		t.Errorf("coordinate label advanced the numeric counter to %d", s.NullSeq())
-	}
 	// An occupied label escapes deterministically: c1, then c2.
 	if esc := s.NullForCoord(2, 0, 17, 1); esc != logic.N("n2r0t17x1c1") {
 		t.Errorf("escape = %v, want n2r0t17x1c1", esc)
@@ -448,6 +334,32 @@ func TestNullForCoord(t *testing.T) {
 	// Distinct coordinates stay distinct.
 	if s.NullForCoord(2, 0, 17, 0) == n || s.NullForCoord(3, 0, 17, 1) == n {
 		t.Error("distinct coordinates collided")
+	}
+}
+
+// TestNullForPos pins the position-null contract: the label is
+// "f<fact>a<arg>", a pure function of the position and the store's
+// contents, escaped with c1, c2, … when the store already holds it.
+func TestNullForPos(t *testing.T) {
+	s := medStore(t)
+	p := Position{Fact: 1, Arg: 0}
+	n := s.NullForPos(p)
+	if n != logic.N("f1a0") {
+		t.Fatalf("NullForPos = %v, want f1a0", n)
+	}
+	if s.NullForPos(p) != n || s.Clone().NullForPos(p) != n {
+		t.Error("NullForPos not a function of position and contents")
+	}
+	s.MustSetValue(p, n)
+	if esc := s.NullForPos(p); esc != logic.N("f1a0c1") {
+		t.Errorf("escape = %v, want f1a0c1", esc)
+	}
+	s.MustSetValue(Position{Fact: 0, Arg: 0}, logic.N("f1a0c1"))
+	if esc := s.NullForPos(p); esc != logic.N("f1a0c2") {
+		t.Errorf("second escape = %v, want f1a0c2", esc)
+	}
+	if s.NullForPos(Position{Fact: 10, Arg: 1}) == s.NullForPos(Position{Fact: 1, Arg: 1}) {
+		t.Error("distinct positions collided")
 	}
 }
 

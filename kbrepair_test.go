@@ -152,7 +152,7 @@ hasAllergy(John, Aspirin).
 		t.Fatal(err)
 	}
 	target := kb.Facts.Clone()
-	target.MustSetValue(Position{Fact: 1, Arg: 1}, target.FreshNull())
+	target.MustSetValue(Position{Fact: 1, Arg: 1}, target.NullForPos(Position{Fact: 1, Arg: 1}))
 	engine := NewEngine(kb, RandomStrategy(), NewOracle(target, 1), 1, EngineOptions{})
 	res, err := engine.RunBasic()
 	if err != nil {
