@@ -229,9 +229,10 @@ func (o Options) maxRounds() int {
 //
 // The join order of a plan binds at its first compile, so this must run at a
 // deterministic sequential point before any parallel fan-out can compile as
-// a side effect: the Π-check worker pool chases clone stores that differ by
-// the fix under test, and letting the first compile race there would tie the
-// chosen order (and the resulting node counts) to worker scheduling.
+// a side effect: the Π-check worker pool chases per-worker Π-nulled
+// instances that differ by the fix under test, and letting the first
+// compile race there would tie the chosen order (and the resulting node
+// counts) to worker scheduling.
 func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 	rules := tgds
 	if len(cdds) > 0 {
@@ -256,11 +257,13 @@ func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 // standard-chase applicability condition that guarantees termination on
 // weakly-acyclic rule sets.
 func Run(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
-	return run(base, tgds, opts, "")
+	// Callers keep the result store, so the chase extends a clone.
+	return run(base.Clone(), tgds, opts, "")
 }
 
-// run is the shared engine. If abortPred is non-empty, the chase stops as
-// soon as a fact with that predicate is derived (used by the ⊥ optimization).
+// run is the shared engine; it extends base in place (chaseLoop). If
+// abortPred is non-empty, the chase stops as soon as a fact with that
+// predicate is derived (used by the ⊥ optimization).
 func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
 	mRuns.Inc()
 	tm := obs.StartTimer()
@@ -279,7 +282,11 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 	return chaseLoop(base, tgds, opts, abortPred, obs.Span{})
 }
 
-// chaseLoop is the saturation engine. Each round has three phases:
+// chaseLoop is the saturation engine. It extends the store it is handed:
+// derived facts are appended after the base facts, whose ids, values and
+// index entries it never touches — so a caller that wants the base back
+// truncates to BaseLen (IsConsistentOpt), and one that keeps the result
+// hands in a clone (Run). Each round has three phases:
 //
 //  1. Trigger collection — one read-only homomorphism search per TGD
 //     against the store as it stood at the start of the round, fanned out
@@ -316,7 +323,7 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 // worker counts.
 func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
-		Store:   base.Clone(),
+		Store:   base,
 		BaseLen: base.Len(),
 		Prov:    make(map[store.FactID]Derivation),
 	}
@@ -656,6 +663,14 @@ func RelevantTGDs(tgds []*logic.TGD, cdds []*logic.CDD) []*logic.TGD {
 // IsConsistentOpt is CheckConsistency-Opt: it chases with CDDs compiled to
 // ⊥-rules — restricted to the TGDs relevant to the CDDs — and stops as
 // early as possible. It returns whether the KB is consistent.
+//
+// The chase runs in place: derived facts are appended to base and removed
+// again by a deferred base.Truncate, so every exit — consistent, ⊥ abort,
+// ErrBudget or a firing error — leaves base exactly as it was, index order
+// included, and a check costs what it derives rather than a copy of base.
+// IsConsistentOpt is therefore a writer under the store's concurrency
+// contract: the caller must hold base exclusively for the duration of the
+// call (no concurrent reader, not even another consistency check).
 func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
 	// Fast path: a CDD already violated by the base facts needs no chase.
 	for _, c := range cdds {
@@ -669,6 +684,7 @@ func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, op
 		return true, nil
 	}
 	rules := append(append([]*logic.TGD(nil), tgds...), CompileBottom(cdds)...)
+	defer base.Truncate(base.Len())
 	res, err := run(base, rules, opts, BottomPred)
 	if err != nil {
 		return false, err

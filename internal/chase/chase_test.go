@@ -437,3 +437,85 @@ func TestExplain(t *testing.T) {
 		t.Error("unlabeled rule not rendered")
 	}
 }
+
+// sameStore fails the test unless got holds exactly want's facts and every
+// index list — per predicate and per (predicate, argument, value) — in the
+// same order: what an in-place check must leave behind.
+func sameStore(t *testing.T, exit string, got, want *store.Store) {
+	t.Helper()
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", exit, err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%s: facts changed:\n%s\nwant\n%s", exit, got, want)
+	}
+	if !reflect.DeepEqual(got.Predicates(), want.Predicates()) {
+		t.Fatalf("%s: predicates %v, want %v", exit, got.Predicates(), want.Predicates())
+	}
+	for _, id := range want.IDs() {
+		a := want.FactRef(id)
+		if !reflect.DeepEqual(got.ByPredicate(a.Pred), want.ByPredicate(a.Pred)) {
+			t.Fatalf("%s: byPred[%s] = %v, want %v", exit, a.Pred, got.ByPredicate(a.Pred), want.ByPredicate(a.Pred))
+		}
+		for j, v := range a.Args {
+			if g, w := got.Candidates(a.Pred, j, v), want.Candidates(a.Pred, j, v); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: index[%s,%d,%s] = %v, want %v", exit, a.Pred, j, v, g, w)
+			}
+			if g, w := got.ActiveDomain(a.Pred, j), want.ActiveDomain(a.Pred, j); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: adom[%s,%d] = %v, want %v", exit, a.Pred, j, g, w)
+			}
+		}
+	}
+}
+
+// TestIsConsistentOptRestoresBase: the in-place check chases its argument
+// and truncates it back on every exit — consistent, ⊥ abort and ErrBudget.
+func TestIsConsistentOptRestoresBase(t *testing.T) {
+	s, tgds, cdds := fig1b(t)
+	consistent := s.Clone()
+	consistent.MustSetValue(store.Position{Fact: 1, Arg: 0}, logic.C("Mike"))
+	consistent.MustSetValue(store.Position{Fact: 3, Arg: 0}, logic.C("Mary"))
+	// Chase-only conflict: no CDD is violated by the base facts, so the
+	// check must chase until ⊥ is derived.
+	bottom := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("prescribed", logic.C("Aspirin"), logic.C("John")),
+		logic.NewAtom("hasPain", logic.C("John"), logic.C("Migraine")),
+		logic.NewAtom("isPainKillerFor", logic.C("Nsaids"), logic.C("Migraine")),
+		logic.NewAtom("incompatible", logic.C("Aspirin"), logic.C("Nsaids")),
+	})
+	// A non-terminating relevant rule under a small budget.
+	loop := logic.MustTGD(
+		[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
+		[]logic.Atom{logic.NewAtom("p", logic.V("Y"), logic.V("Z"))},
+	)
+	loopCDD := logic.MustCDD([]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("X"))})
+	budget := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("p", logic.C("a"), logic.C("b")),
+		logic.NewAtom("p", logic.C("b"), logic.C("c")),
+	})
+	cases := []struct {
+		exit    string
+		s       *store.Store
+		tgds    []*logic.TGD
+		cdds    []*logic.CDD
+		opts    Options
+		want    bool
+		wantErr error
+	}{
+		{"consistent", consistent, tgds, cdds, Options{}, true, nil},
+		{"bottom-abort", bottom, tgds, cdds, Options{}, false, nil},
+		{"budget", budget, []*logic.TGD{loop}, []*logic.CDD{loopCDD}, Options{MaxDerived: 20}, false, ErrBudget},
+	}
+	for _, c := range cases {
+		before := c.s.Clone()
+		ok, err := IsConsistentOpt(c.s, c.tgds, c.cdds, c.opts)
+		if !errors.Is(err, c.wantErr) || (err == nil && ok != c.want) {
+			t.Fatalf("%s: IsConsistentOpt = %v, %v; want %v, %v", c.exit, ok, err, c.want, c.wantErr)
+		}
+		sameStore(t, c.exit, c.s, before)
+		// A second check on the restored store agrees with the first.
+		if ok2, err2 := IsConsistentOpt(c.s, c.tgds, c.cdds, c.opts); ok2 != ok || !errors.Is(err2, c.wantErr) {
+			t.Fatalf("%s: repeat check = %v, %v; first was %v, %v", c.exit, ok2, err2, ok, err)
+		}
+	}
+}

@@ -82,7 +82,7 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 	t.Run("aborted", func(t *testing.T) {
 		rec := flight.Enable(256)
 		defer flight.Disable()
-		res, err := run(s, tgds, Options{}, "p3")
+		res, err := run(s.Clone(), tgds, Options{}, "p3")
 		if err != nil {
 			t.Fatal(err)
 		}

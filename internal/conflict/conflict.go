@@ -12,6 +12,7 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,23 +85,39 @@ func (c *Conflict) JoinPositions(s *store.Store) []store.Position {
 	if !c.Direct {
 		return nil
 	}
-	joinArgs := c.CDD.JoinPositions()
-	var out []store.Position
-	seen := make(map[store.Position]bool)
-	add := func(p store.Position) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for i, a := range c.CDD.Body {
-		for _, j := range joinArgs[i] {
-			add(store.Position{Fact: c.Facts[i], Arg: j})
-		}
+	return c.joinPositionsInto(nil, pinArgs(c.CDD))
+}
+
+// pinArgs returns, per body atom of the CDD, the argument indexes whose
+// values pin a homomorphism: the join-variable arguments, then the
+// constant arguments, each ascending. It depends on the CDD alone, so
+// callers ranking many conflicts compute it once per CDD.
+func pinArgs(cdd *logic.CDD) [][]int {
+	joinArgs := cdd.JoinPositions()
+	out := make([][]int, len(cdd.Body))
+	for i, a := range cdd.Body {
+		out[i] = append(out[i], joinArgs[i]...)
 		// Constant-matched positions also pin the homomorphism.
 		for j, t := range a.Args {
 			if t.IsConst() {
-				add(store.Position{Fact: c.Facts[i], Arg: j})
+				out[i] = append(out[i], j)
+			}
+		}
+	}
+	return out
+}
+
+// joinPositionsInto computes the conflict's join positions (see
+// JoinPositions) from the CDD's pinArgs table, each position once, in
+// body-atom then table order, reusing buf's storage. The conflict must be
+// direct.
+func (c *Conflict) joinPositionsInto(buf []store.Position, args [][]int) []store.Position {
+	out := buf[:0]
+	for i, js := range args {
+		for _, j := range js {
+			p := store.Position{Fact: c.Facts[i], Arg: j}
+			if !slices.Contains(out, p) {
+				out = append(out, p)
 			}
 		}
 	}

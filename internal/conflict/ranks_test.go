@@ -1,0 +1,107 @@
+// External test package because synth depends on conflict (through core).
+package conflict_test
+
+import (
+	"maps"
+	"slices"
+	"testing"
+
+	"kbrepair/internal/chase"
+	"kbrepair/internal/conflict"
+	"kbrepair/internal/core"
+	"kbrepair/internal/durum"
+	"kbrepair/internal/logic"
+	"kbrepair/internal/par"
+	"kbrepair/internal/store"
+	"kbrepair/internal/synth"
+)
+
+// refJoinPositions is the per-conflict join-position computation that
+// PositionRanks's per-CDD table replaced: the CDD's join arguments from
+// logic.CDD.JoinPositions, then its constant arguments, per body atom,
+// each base position once.
+func refJoinPositions(c *conflict.Conflict) []store.Position {
+	if !c.Direct {
+		return nil
+	}
+	joinArgs := c.CDD.JoinPositions()
+	var out []store.Position
+	seen := make(map[store.Position]bool)
+	add := func(p store.Position) {
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	for i, a := range c.CDD.Body {
+		for _, j := range joinArgs[i] {
+			add(store.Position{Fact: c.Facts[i], Arg: j})
+		}
+		for j, t := range a.Args {
+			if t.IsConst() {
+				add(store.Position{Fact: c.Facts[i], Arg: j})
+			}
+		}
+	}
+	return out
+}
+
+// TestPositionRanksMatchesPerConflictJoinPositions: on synth KBs with and
+// without TGDs (so chase-level, non-direct conflicts take the fallback) and
+// on Durum Wheat (whose CDD bodies hold constants), PositionRanks equals the ranks computed conflict by conflict, at one
+// worker and at four, and JoinPositions keeps the reference order.
+func TestPositionRanksMatchesPerConflictJoinPositions(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var kbs []*core.KB
+	for _, p := range []synth.Params{
+		{Seed: 3, NumFacts: 600, InconsistencyRatio: 0.4, NumCDDs: 12, JoinVarRatio: 0.5},
+		{Seed: 5, NumFacts: 300, InconsistencyRatio: 0.25, NumCDDs: 10, NumTGDs: 6, JoinVarRatio: 0.3},
+	} {
+		g, err := synth.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kbs = append(kbs, g.KB)
+	}
+	dw, _, err := durum.Build(durum.V2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbs = append(kbs, dw)
+	var chunked, indirect, consts bool
+	for k, kb := range kbs {
+		cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, chase.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunked = chunked || len(cs) > 64
+		want := make(map[store.Position]int)
+		for _, c := range cs {
+			indirect = indirect || !c.Direct
+			for _, a := range c.CDD.Body {
+				consts = consts || slices.ContainsFunc(a.Args, logic.Term.IsConst)
+			}
+			ps := refJoinPositions(c)
+			if got := c.JoinPositions(kb.Facts); !slices.Equal(got, ps) {
+				t.Fatalf("kb %d: JoinPositions(%s) = %v, want %v", k, c, got, ps)
+			}
+			if len(ps) == 0 {
+				ps = c.Positions(kb.Facts)
+			}
+			for _, q := range ps {
+				want[q]++
+			}
+		}
+		for _, w := range []int{1, 4} {
+			par.SetWorkers(w)
+			if got := conflict.PositionRanks(cs, kb.Facts); !maps.Equal(got, want) {
+				t.Fatalf("kb %d, workers %d: PositionRanks differs from the per-conflict ranks (%d vs %d positions)",
+					k, w, len(got), len(want))
+			}
+		}
+	}
+	if !chunked || !indirect || !consts {
+		t.Fatalf("table too weak: chunked fan-out %v, non-direct conflicts %v, body constants %v",
+			chunked, indirect, consts)
+	}
+}

@@ -29,15 +29,8 @@ type Tracker struct {
 	// kept parallel to the conflicts.
 	ordered     []*Conflict
 	orderedKeys []string
-	// byPred maps a predicate name to the indexes of CDDs mentioning it in
-	// their body (the Σ_C^A of §5, at predicate granularity).
-	byPred map[string][]int
-	// pinPlans[ci][ai] is the compiled body-minus-atom-ai conjunction of
-	// CDD ci, precomputed so Update's hot path never touches the plan
-	// cache. Plans are seed-specialized: the pinned atom's variables are
-	// pre-bound slots, so the orderer costs the rest-conjunction under the
-	// bindings every pinned search actually starts with.
-	pinPlans [][]*homo.Plan
+	// pins holds the pinned-atom plans Update re-evaluates with.
+	pins *Pins
 }
 
 // NewTracker computes the initial naive conflicts of the store and prepares
@@ -56,21 +49,46 @@ func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Track
 		cdds:      cdds,
 		conflicts: make(map[string]*Conflict),
 		byFact:    make(map[store.FactID]map[string]bool),
-		byPred:    make(map[string][]int),
+		pins:      NewPins(cdds, base),
 	}
-	t.pinPlans = make([][]*homo.Plan, len(cdds))
+	for _, c := range AllNaiveUnder(parent, base, cdds) {
+		t.add(c)
+	}
+	return t
+}
+
+// Pins is the pinned-atom plan table of a CDD set: for every body atom of
+// every CDD, the rest of the body, compiled seed-specialized on that atom's
+// variables so the orderer costs the rest-conjunction under the bindings
+// every pinned search starts with. It runs the fact-local searches of §5's
+// UpdateConflicts — every violation that uses a given fact, found by
+// pinning one body atom onto it — for the Tracker and for core's fix-local
+// Π-check. Immutable once built, so safe for concurrent use.
+type Pins struct {
+	cdds []*logic.CDD
+	// byPred maps a predicate name to the indexes of CDDs mentioning it in
+	// their body (the Σ_C^A of §5, at predicate granularity).
+	byPred map[string][]int
+	// plans[ci][ai] is the body-minus-atom-ai conjunction of CDD ci.
+	plans [][]*homo.Plan
+}
+
+// NewPins compiles the pinned plans of the CDDs. Plans are pure functions
+// of (CDD, atom index, prebound set), so they go through the process-wide
+// plan cache and are shared by every table built over the same CDDs; stats
+// binds the join order on a first compile, so build tables at a sequential
+// point, never inside a fan-out.
+func NewPins(cdds []*logic.CDD, stats *store.Store) *Pins {
+	p := &Pins{cdds: cdds, byPred: make(map[string][]int), plans: make([][]*homo.Plan, len(cdds))}
 	for i, c := range cdds {
 		seen := make(map[string]bool)
 		for _, a := range c.Body {
 			if !seen[a.Pred] {
 				seen[a.Pred] = true
-				t.byPred[a.Pred] = append(t.byPred[a.Pred], i)
+				p.byPred[a.Pred] = append(p.byPred[a.Pred], i)
 			}
 		}
-		// Pinned plans are pure functions of (cdd, atom index, prebound
-		// set), so they go through the process-wide cache and are shared
-		// across trackers.
-		t.pinPlans[i] = make([]*homo.Plan, len(c.Body))
+		p.plans[i] = make([]*homo.Plan, len(c.Body))
 		for ai := range c.Body {
 			rest := make([]logic.Atom, 0, len(c.Body)-1)
 			for j, a := range c.Body {
@@ -84,15 +102,44 @@ func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Track
 					pre = append(pre, arg)
 				}
 			}
-			t.pinPlans[i][ai] = homo.CachedPlanWith(
+			p.plans[i][ai] = homo.CachedPlanWith(
 				homo.CacheKey{Owner: c, Tag: homo.TagPinned + ai}, rest,
-				homo.CompileOpts{Stats: base, Prebound: pre})
+				homo.CompileOpts{Stats: stats, Prebound: pre})
 		}
 	}
-	for _, c := range AllNaiveUnder(parent, base, cdds) {
-		t.add(c)
+	return p
+}
+
+// Each calls fn, in (CDD, body atom) order, for every body atom that can be
+// pinned onto the ground atom, with the seed binding that body atom's
+// variables against it and the plan of the rest of the body. fn returns
+// false to stop.
+func (p *Pins) Each(atom logic.Atom, fn func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool) {
+	for _, ci := range p.byPred[atom.Pred] {
+		for ai, ba := range p.cdds[ci].Body {
+			if ba.Pred != atom.Pred || len(ba.Args) != len(atom.Args) {
+				continue
+			}
+			seed, ok := bindAtom(ba, atom)
+			if !ok {
+				continue
+			}
+			if !fn(ci, ai, seed, p.plans[ci][ai]) {
+				return
+			}
+		}
 	}
-	return t
+}
+
+// Violated reports whether some CDD body maps into s with one of its atoms
+// on the fact id — whether s has a violation that uses that fact.
+func (p *Pins) Violated(s *store.Store, id store.FactID) bool {
+	hit := false
+	p.Each(s.FactRef(id), func(_, _ int, seed logic.Subst, plan *homo.Plan) bool {
+		hit = plan.ExistsSeeded(s, seed)
+		return !hit
+	})
+	return hit
 }
 
 func containsTerm(ts []logic.Term, t logic.Term) bool {
@@ -189,21 +236,12 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	}
 	atom := t.base.FactRef(id)
 	var tasks []pinTask
-	for _, ci := range t.byPred[atom.Pred] {
-		cdd := t.cdds[ci]
-		for ai, ba := range cdd.Body {
-			if ba.Pred != atom.Pred || len(ba.Args) != len(atom.Args) {
-				continue
-			}
-			// Pin body atom ai onto the updated fact: bind its variables
-			// against the fact, then search the remaining atoms.
-			seed, ok := bindAtom(ba, atom)
-			if !ok {
-				continue
-			}
-			tasks = append(tasks, pinTask{ci: ci, ai: ai, seed: seed, plan: t.pinPlans[ci][ai]})
-		}
-	}
+	// Pin each matching body atom onto the updated fact (its variables bound
+	// against the fact), then search the remaining atoms.
+	t.pins.Each(atom, func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool {
+		tasks = append(tasks, pinTask{ci: ci, ai: ai, seed: seed, plan: plan})
+		return true
+	})
 	perTask := par.MapNamed("conflict.tracker", len(tasks), func(i int) []*Conflict {
 		return t.scanPinned(id, atom, tasks[i])
 	})
@@ -329,8 +367,16 @@ const positionRanksChunk = 64
 // pool and merge additively — the result map is identical at any worker
 // count.
 func PositionRanks(conflicts []*Conflict, s *store.Store) map[store.Position]int {
+	// Each CDD's pinArgs table is computed once per call, before any
+	// fan-out, and only read by the chunks.
+	args := make(map[*logic.CDD][][]int)
+	for _, c := range conflicts {
+		if _, ok := args[c.CDD]; !ok && c.Direct {
+			args[c.CDD] = pinArgs(c.CDD)
+		}
+	}
 	if len(conflicts) <= positionRanksChunk {
-		return positionRanksSeq(conflicts, s)
+		return positionRanksSeq(conflicts, s, args)
 	}
 	chunks := (len(conflicts) + positionRanksChunk - 1) / positionRanksChunk
 	parts := par.MapNamed("conflict.ranks", chunks, func(g int) map[store.Position]int {
@@ -339,7 +385,7 @@ func PositionRanks(conflicts []*Conflict, s *store.Store) map[store.Position]int
 		if hi > len(conflicts) {
 			hi = len(conflicts)
 		}
-		return positionRanksSeq(conflicts[lo:hi], s)
+		return positionRanksSeq(conflicts[lo:hi], s, args)
 	})
 	ranks := make(map[store.Position]int)
 	for _, part := range parts {
@@ -350,10 +396,15 @@ func PositionRanks(conflicts []*Conflict, s *store.Store) map[store.Position]int
 	return ranks
 }
 
-func positionRanksSeq(conflicts []*Conflict, s *store.Store) map[store.Position]int {
+func positionRanksSeq(conflicts []*Conflict, s *store.Store, args map[*logic.CDD][][]int) map[store.Position]int {
 	ranks := make(map[store.Position]int)
+	var buf []store.Position
 	for _, c := range conflicts {
-		ps := c.JoinPositions(s)
+		var ps []store.Position
+		if c.Direct {
+			buf = c.joinPositionsInto(buf, args[c.CDD])
+			ps = buf
+		}
 		if len(ps) == 0 {
 			ps = c.Positions(s)
 		}

@@ -118,12 +118,17 @@ func (kb *KB) Clone() *KB {
 
 // IsConsistent runs the optimized consistency check (CheckConsistency-Opt):
 // the chase with CDDs compiled to ⊥-rules, aborted as soon as ⊥ appears.
+// The check chases kb.Facts in place and truncates it back, so it writes
+// the store: the KB owns its fact store, and a KB is not shared between
+// goroutines, so the caller holds it exclusively — as every other KB
+// mutation already requires.
 func (kb *KB) IsConsistent() (bool, error) {
 	return chase.IsConsistentOpt(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }
 
 // IsConsistentUnder is IsConsistent with the check's chase span parented
-// under the given trace span id.
+// under the given trace span id. The inquiry engine calls it from its own
+// goroutine after its last fan-out, when nothing else reads the store.
 func (kb *KB) IsConsistentUnder(parent uint64) (bool, error) {
 	opts := kb.ChaseOpts
 	opts.TraceParent = parent
@@ -173,6 +178,7 @@ func (kb *KB) RulesCompatible() (bool, error) {
 	for p, arity := range preds {
 		anon.MustAdd(logic.NewAtom(p, anonArgs(anon, arity)...))
 	}
+	// anon is private to this call, so the in-place check has it alone.
 	return chase.IsConsistentOpt(anon, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }
 

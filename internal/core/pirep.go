@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"kbrepair/internal/chase"
+	"kbrepair/internal/conflict"
+	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
@@ -74,6 +78,8 @@ func (pi Pi) Has(p Position) bool { return pi[p] }
 // same fact ids where every position outside Π holds the fresh existential
 // variable attributed to it (store.NullForPos, escaped against the source
 // store, so it can join with nothing) and Π positions keep their values.
+// PiChecker builds each of its session instances with it once; the one-shot
+// PiRepairable / PiRepairableNaive build one per call.
 func nulledCopy(facts *store.Store, pi Pi) *store.Store {
 	out := store.New()
 	for _, id := range facts.IDs() {
@@ -86,6 +92,68 @@ func nulledCopy(facts *store.Store, pi Pi) *store.Store {
 		out.MustAdd(a)
 	}
 	return out
+}
+
+// validPos reports whether p is a position of the fact store.
+func validPos(facts *store.Store, p Position) bool {
+	return p.Arg >= 0 && facts.Valid(p.Fact) && p.Arg < facts.Arity(p.Fact)
+}
+
+// instance is a session-owned Algorithm 1 instance: nulledCopy(facts, pi)
+// kept up to date in place instead of rebuilt for every batch.
+type instance struct {
+	s  *store.Store // nil until the slot is first used
+	pi Pi           // the Π whose positions hold their values from F in s
+}
+
+// sync brings the instance to (facts, pi) by diff: a position in pi gets
+// its current value in facts, and a position that left Π (opti-prop's
+// release) gets facts.NullForPos back. Changed positions are written in
+// position order, so a session's index lists — and with them search order
+// and node counts — do not depend on map iteration. The first use, or a
+// fact store that gained facts, builds the instance with nulledCopy. sync
+// returns the positions it wrote, or rebuilt when it built the instance.
+//
+// The result equals nulledCopy(facts, pi) up to a renaming of nulls, which
+// Algorithm 1's verdict does not see. Nulls at positions that stayed
+// outside Π keep the labels they were given, while NullForPos's escape may
+// drift as answers remove values from facts; they stay fresh because a
+// value enters facts only as an answer — either one already in facts or
+// the answered position's own fresh null, which moves that position into
+// Π — and labels of distinct positions never meet.
+func (in *instance) sync(facts *store.Store, pi Pi) (changed []Position, rebuilt bool) {
+	if in.s == nil || in.s.Len() != facts.Len() {
+		in.s, in.pi = nulledCopy(facts, pi), pi.Clone()
+		return nil, true
+	}
+	for p := range in.pi {
+		if !pi.Has(p) {
+			delete(in.pi, p)
+			if validPos(facts, p) {
+				changed = append(changed, p)
+			}
+		}
+	}
+	for p := range pi {
+		if !validPos(facts, p) {
+			continue
+		}
+		in.pi[p] = true
+		if in.s.Value(p) != facts.Value(p) {
+			changed = append(changed, p)
+		}
+	}
+	slices.SortFunc(changed, func(a, b Position) int {
+		return cmp.Or(cmp.Compare(a.Fact, b.Fact), cmp.Compare(a.Arg, b.Arg))
+	})
+	for _, p := range changed {
+		if in.pi.Has(p) {
+			in.s.MustSetValue(p, facts.Value(p))
+		} else {
+			in.s.MustSetValue(p, facts.NullForPos(p))
+		}
+	}
+	return changed, false
 }
 
 // PiRepairable implements Algorithm 1 (Π-REP): every position outside Π is
@@ -104,7 +172,11 @@ func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
 
 // PiChecker performs the repeated Π-repairability checks of question
 // generation, with the Π-RepOpt fast path of §5. Create one per KB/session;
-// it caches the set of constants appearing in the rules.
+// it caches the set of constants appearing in the rules, and it owns the
+// session's Π-nulled instances: one per worker slot of the full-check
+// fan-out, built once and then synced to (kb.Facts, Π) at the start of each
+// batch that needs it, so a full check costs what it derives, not a copy of
+// the store.
 type PiChecker struct {
 	kb        *KB
 	ruleConst map[logic.Term]bool
@@ -114,6 +186,14 @@ type PiChecker struct {
 	// for the ablation benchmarks).
 	FastHits   int
 	FullChecks int
+	// cddOnly reports that no TGD is relevant to the CDDs, which makes
+	// optimized full checks fix-local; local is their state, built by the
+	// first batch that needs it.
+	cddOnly bool
+	local   *fixLocal
+	// slots[g] is the Π-nulled instance chunk g of a batch checks on. Only
+	// chunk g's goroutine touches it during a batch.
+	slots []*instance
 	// cause is the attribution ID of the CDD whose conflict caused the
 	// current batch (attr.None when unknown). Atomic because checkChunk
 	// reads it from worker goroutines.
@@ -135,12 +215,13 @@ func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent.Store(id) }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
 // It also warms the plan cache for every rule body against the KB's base
-// store: the checker's full checks fan out across workers on per-chunk
-// clone stores, and a first compile racing in a worker would bind join
-// orders to whichever clone won — warming here keeps orders deterministic.
+// store: the checker's full checks fan out across workers on per-slot
+// instances, and a first compile racing in a worker would bind join orders
+// to whichever instance won — warming here keeps orders deterministic.
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
-	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true}
+	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true,
+		cddOnly: len(chase.RelevantTGDs(kb.TGDs, kb.CDDs)) == 0}
 	pc.cause.Store(int32(attr.None))
 	collect := func(as []logic.Atom) {
 		for _, a := range as {
@@ -186,13 +267,19 @@ func (pc *PiChecker) CheckWithFix(pi Pi, f Fix) (bool, error) {
 }
 
 // CheckBatch decides Π′-repairability for a batch of single-fix updates
-// sharing the same Π (the filtering loop of one SOUNDQUESTION call). The
-// fast path handles most fixes sequentially; the remaining full Algorithm 1
-// checks are independent of each other and fan out across the worker pool
-// (one Π-nulled instance per chunk), with verdicts written by fix index so
-// the result — and therefore question order — is byte-identical at every
-// worker count.
+// sharing the same Π (the filtering loop of one SOUNDQUESTION call). Every
+// fix position is validated first. The fast path handles most fixes
+// sequentially; the remaining full Algorithm 1 checks run on the checker's
+// session instances — fix-local and inline when no TGD is relevant to the
+// CDDs, otherwise fanned out across the worker pool one instance per chunk
+// — with verdicts written by fix index so the result — and therefore
+// question order — is byte-identical at every worker count.
 func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
+	for _, f := range fixes {
+		if !validPos(pc.kb.Facts, f.Pos) {
+			return nil, fmt.Errorf("pirep: position %s out of range", f.Pos)
+		}
+	}
 	out := make([]bool, len(fixes))
 	var fastHits, accepted int64
 	var full []int
@@ -213,16 +300,17 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 		}
 	}()
 	cause := attr.ID(pc.cause.Load())
+	var piVals map[logic.Term]int
+	if pc.Optimized {
+		piVals = piValues(pc.kb.Facts, pi)
+	}
 	for i, f := range fixes {
-		if pc.Optimized && pc.fastSafe(pi, f) {
+		if pc.Optimized && pc.fastSafe(pi, piVals, f) {
 			pc.FastHits++
 			mPiFast.Inc()
 			fastHits++
 			out[i] = true
 			continue
-		}
-		if f.Pos.Arg < 0 || !pc.kb.Facts.Valid(f.Pos.Fact) || f.Pos.Arg >= pc.kb.Facts.Arity(f.Pos.Fact) {
-			return nil, fmt.Errorf("pirep: position %s out of range", f.Pos)
 		}
 		full = append(full, i)
 	}
@@ -242,22 +330,38 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 }
 
 // runFullChecks runs the full Algorithm 1 checks of a batch (fix indices in
-// full). With one worker — or a single check — everything runs inline on
-// one shared nulled instance, the sequential baseline. Otherwise the
-// indices split into at most Workers() contiguous chunks, each chunk with
-// its own Π-nulled instance (checks only read pc.kb and mutate their own
-// copy, so they are independent). Verdicts land in out by fix index, never
-// by completion order.
+// full). With one worker, a single check or fix-local verdicts, everything
+// runs inline on slot 0's instance. Otherwise the indices split
+// into at most Workers() contiguous chunks, chunk g on slot g's instance
+// (checks only read pc.kb and mutate their own instance, so they are
+// independent). Verdicts land in out by fix index, never by completion
+// order.
 func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) error {
 	if len(full) == 0 {
 		return nil
 	}
-	w := par.Workers()
-	if w > len(full) {
-		w = len(full)
+	w := min(par.Workers(), len(full))
+	for len(pc.slots) < w {
+		pc.slots = append(pc.slots, &instance{})
 	}
-	if w <= 1 {
-		return pc.checkChunk(pi, fixes, full, out)
+	var local *fixLocal
+	if pc.Optimized && pc.cddOnly {
+		if pc.local == nil {
+			// Compiled on this goroutine, so no worker binds a pinned
+			// plan's join order (the tracker shares these plans).
+			pc.local = &fixLocal{pins: conflict.NewPins(pc.kb.CDDs, pc.kb.Facts)}
+		}
+		local = pc.local
+		changed, rebuilt := pc.slots[0].sync(pc.kb.Facts, pi)
+		local.refresh(pc.slots[0].s, pc.kb.CDDs, changed, rebuilt)
+	} else if pc.local != nil {
+		// Slot 0 may change below without the summary seeing it.
+		pc.local.known = false
+	}
+	if w <= 1 || local != nil {
+		// Fix-local verdicts cost a few pinned searches each: a fan-out
+		// (and a second instance to keep in sync) would cost more.
+		return pc.checkChunk(pc.slots[0], pi, fixes, full, out, local)
 	}
 	chunks := make([][]int, 0, w)
 	for g := 0; g < w; g++ {
@@ -267,7 +371,7 @@ func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) e
 		}
 	}
 	errs := par.MapNamed("core.pi", len(chunks), func(g int) error {
-		return pc.checkChunk(pi, fixes, chunks[g], out)
+		return pc.checkChunk(pc.slots[g], pi, fixes, chunks[g], out, local)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -277,10 +381,10 @@ func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) e
 	return nil
 }
 
-// checkChunk runs Algorithm 1 for each fix index in idxs on one shared
-// Π-nulled instance, mutating only the fix position between checks.
-func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) error {
-	nulled := nulledCopy(pc.kb.Facts, pi)
+// checkChunk syncs the slot's instance to (kb.Facts, Π) and decides each
+// fix index in idxs on it.
+func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, out []bool, local *fixLocal) error {
+	in.sync(pc.kb.Facts, pi)
 	cause := attr.ID(pc.cause.Load())
 	// Chunks may run on worker goroutines: their chases stay out of the
 	// trace (interleaved spans from racing workers would make the trace
@@ -289,18 +393,10 @@ func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) erro
 	opts := pc.kb.ChaseOpts
 	opts.TraceQuiet = true
 	for _, i := range idxs {
-		f := fixes[i]
-		// Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the nulled
-		// instance with the fix value at the fix position. (Π positions of
-		// the nulled store keep their values; f.Pos is outside Π in every
-		// SOUNDQUESTION call, and if it were inside, setting it below
-		// still realizes the hypothetical update.)
-		prev := nulled.MustSetValue(f.Pos, f.Value)
 		tm := obs.StartTimer()
-		ok, err := chase.IsConsistentOpt(nulled, pc.kb.TGDs, pc.kb.CDDs, opts)
+		ok, err := pc.verdict(in.s, fixes[i], local, opts)
 		mPiCheckTime.Since(tm)
 		attrPiTime.Since(cause, tm)
-		nulled.MustSetValue(f.Pos, prev)
 		if err != nil {
 			return err
 		}
@@ -309,9 +405,102 @@ func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) erro
 	return nil
 }
 
+// verdict runs Algorithm 1 for one fix on a synced instance and leaves the
+// instance as it found it. Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is
+// exactly the nulled instance with the fix value at the fix position. (Π
+// positions of the instance keep their values; f.Pos is outside Π in every
+// SOUNDQUESTION call, and if it were inside, setting it still realizes the
+// hypothetical update.) With local set the verdict is fix-local; otherwise
+// it is the in-place consistency check, which truncates its chase away.
+func (pc *PiChecker) verdict(s *store.Store, f Fix, local *fixLocal, opts chase.Options) (bool, error) {
+	if local != nil && local.avoids(f.Pos.Fact) {
+		return false, nil
+	}
+	prev := s.MustSetValue(f.Pos, f.Value)
+	defer s.MustSetValue(f.Pos, prev)
+	if local != nil {
+		return !local.pins.Violated(s, f.Pos.Fact), nil
+	}
+	return chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
+}
+
+// fixLocal is the state of the fix-local verdict, used when no TGD is
+// relevant to the CDDs (so consistency is "no CDD body maps into the
+// instance") and the fast path is on: the CDDs' pinned plans and a summary
+// of the violations of slot 0's unmodified instance I. It needs no
+// Π-repairability premise, because opti-prop pins positions without
+// verifying them, so I may itself be violated.
+//
+// Soundness: the fixed instance I′ differs from I only at fact F. A
+// violation of I′ either avoids F — then it maps onto facts unchanged from
+// I, so it is a violation of I that avoids F — or uses F, and then pinning
+// the body atom that maps onto F finds it. So I′ is consistent iff no
+// violation of I avoids F and the pinned searches at F find nothing in I′;
+// the first half is read off the facts common to all of I's violations.
+type fixLocal struct {
+	pins *conflict.Pins
+	// known reports that violated/common describe slot 0's instance as it
+	// stands; violated reports whether it has a violation, and common
+	// holds the facts every one of its violations uses.
+	known    bool
+	violated bool
+	common   []store.FactID
+}
+
+// refresh brings the violation summary up to date with s, slot 0's
+// instance after a sync that changed the given positions (or rebuilt it).
+// By the argument above, applied to the sync's changes: when I had no
+// violation before the sync, a violation of I now uses a changed fact, so
+// pinned searches at the changed facts decide whether I is still clean.
+// Otherwise the violations of s are enumerated, stopping once no fact is
+// common to all of them.
+func (fl *fixLocal) refresh(s *store.Store, cdds []*logic.CDD, changed []Position, rebuilt bool) {
+	if fl.known && !rebuilt && !fl.violated &&
+		!slices.ContainsFunc(changed, func(p Position) bool { return fl.pins.Violated(s, p.Fact) }) {
+		return
+	}
+	fl.known, fl.violated, fl.common = true, false, fl.common[:0]
+	for _, c := range cdds {
+		if fl.violated && len(fl.common) == 0 {
+			break
+		}
+		plan := homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
+			homo.CompileOpts{Stats: s})
+		plan.ForEach(s, func(m homo.Match) bool {
+			if !fl.violated {
+				fl.violated = true
+				fl.common = append(fl.common, m.Facts...)
+			} else {
+				fl.common = slices.DeleteFunc(fl.common, func(id store.FactID) bool {
+					return !slices.Contains(m.Facts, id)
+				})
+			}
+			return len(fl.common) > 0
+		})
+	}
+}
+
+// avoids reports whether some violation of the unmodified instance avoids
+// fact id, which then survives any fix at it.
+func (fl *fixLocal) avoids(id store.FactID) bool {
+	return fl.violated && !slices.Contains(fl.common, id)
+}
+
+// piValues counts the values at the Π positions — the values a constant
+// fix could join with in the Π-nulled instance.
+func piValues(facts *store.Store, pi Pi) map[logic.Term]int {
+	vals := make(map[logic.Term]int, len(pi))
+	for p := range pi {
+		if validPos(facts, p) {
+			vals[facts.Value(p)]++
+		}
+	}
+	return vals
+}
+
 // fastSafe reports whether the fix value is provably harmless (see
-// CheckWithFix).
-func (pc *PiChecker) fastSafe(pi Pi, f Fix) bool {
+// CheckWithFix); piVals is piValues(F, pi).
+func (pc *PiChecker) fastSafe(pi Pi, piVals map[logic.Term]int, f Fix) bool {
 	v := f.Value
 	switch v.Kind {
 	case logic.Null:
@@ -323,19 +512,17 @@ func (pc *PiChecker) fastSafe(pi Pi, f Fix) bool {
 		if pc.ruleConst[v] {
 			return false
 		}
-		for p := range pi {
-			if p != f.Pos && pc.kb.Facts.Value(p) == v {
-				return false
-			}
+		// v must not sit at any Π position other than the fix's own. It
+		// may freely occur at non-Π positions, which are nulled in the
+		// hypothetical instance. A single-atom CDD with a repeated variable
+		// could still be triggered by v joining with itself inside one
+		// atom if another position of the *same fact* is in Π with value
+		// v — covered by the Π count as well. Safe.
+		n := piVals[v]
+		if pi.Has(f.Pos) && pc.kb.Facts.Value(f.Pos) == v {
+			n--
 		}
-		// The constant must also not occur at the fix's own fact-sibling
-		// positions inside Π (covered above) — but it may freely occur at
-		// non-Π positions, which are nulled in the hypothetical instance.
-		// A single-atom CDD with a repeated variable could still be
-		// triggered by v joining with itself inside one atom if another
-		// position of the *same fact* is in Π with value v — covered by
-		// the Π scan as well. Safe.
-		return true
+		return n == 0
 	default:
 		return false
 	}

@@ -333,3 +333,120 @@ func TestNulledCopyLabelCollision(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckBatchRejectsOutOfRangeBeforeFastPath: every fix position is
+// range-checked before the fast path, so a fresh null or an unused
+// constant — values the fast path would accept unseen — at a position
+// outside pos(F) is an error, not a verdict.
+func TestCheckBatchRejectsOutOfRangeBeforeFastPath(t *testing.T) {
+	kb := example37(t)
+	pc := NewPiChecker(kb)
+	for _, p := range []Position{{Fact: 0, Arg: 2}, {Fact: 0, Arg: -1}, {Fact: 7, Arg: 0}, {Fact: -1, Arg: 0}} {
+		for _, v := range []logic.Term{kb.Facts.NullForPos(p), logic.C("unicorn")} {
+			ok, err := pc.CheckWithFix(NewPi(), Fix{Pos: p, Value: v})
+			if err == nil {
+				t.Errorf("fix %v at out-of-range %s: verdict %v, want an error", v, p, ok)
+			}
+		}
+	}
+	if pc.FastHits != 0 || pc.FullChecks != 0 {
+		t.Errorf("rejected batches counted fast=%d full=%d, want 0/0", pc.FastHits, pc.FullChecks)
+	}
+	// A batch with one bad fix is rejected whole.
+	good := Fix{Pos: Position{Fact: 0, Arg: 1}, Value: logic.C("unicorn")}
+	bad := Fix{Pos: Position{Fact: 1, Arg: 5}, Value: logic.C("unicorn")}
+	if _, err := pc.CheckBatch(NewPi(), []Fix{good, bad}); err == nil {
+		t.Error("batch with an out-of-range fix accepted")
+	}
+}
+
+// TestFixLocalVerdictAgreesWithAlgorithm1: on random CDD-only KBs, one
+// checker per KB decides several batches under random Π — not filtered for
+// Π-repairability, since opti-prop pins positions unverified, and redrawn
+// per batch so the instance sync and the violation summary's refresh go
+// both ways between violated and clean. Every fix the fast path leaves to
+// a full check gets a fix-local verdict equal to Algorithm 1 on the fixed
+// copy, so both the "a violation avoids the fix" shortcut and the pinned
+// search are exercised; one batch in four runs unoptimized in between.
+func TestFixLocalVerdictAgreesWithAlgorithm1(t *testing.T) {
+	consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c")}
+	cdds := []*logic.CDD{
+		logic.MustCDD([]logic.Atom{
+			logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+			logic.NewAtom("q", logic.V("Y")),
+		}),
+		logic.MustCDD([]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("X"))}),
+		logic.MustCDD([]logic.Atom{
+			logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+			logic.NewAtom("r", logic.V("Y"), logic.V("Z")),
+			logic.NewAtom("q", logic.V("Z")),
+		}),
+		logic.MustCDD([]logic.Atom{logic.NewAtom("r", logic.C("c"), logic.V("X"))}),
+	}
+	var violated, clean, decided int
+	for seed := int64(1); seed <= 150; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := store.New()
+		for i := 0; i < 8; i++ {
+			switch r.Intn(3) {
+			case 0:
+				s.MustAdd(logic.NewAtom("p", consts[r.Intn(3)], consts[r.Intn(3)]))
+			case 1:
+				s.MustAdd(logic.NewAtom("q", consts[r.Intn(3)]))
+			default:
+				s.MustAdd(logic.NewAtom("r", consts[r.Intn(3)], consts[r.Intn(3)]))
+			}
+		}
+		kb := MustKB(s, nil, cdds)
+		pc := NewPiChecker(kb)
+		ps := kb.Facts.Positions()
+		for batch := 0; batch < 4; batch++ {
+			// Batch 2 runs with the fast path off (full in-place checks
+			// that sync slot 0 behind the fix-local summary's back).
+			pc.Optimized = batch != 2
+			pi := NewPi()
+			for i := 0; i < 1+r.Intn(6); i++ {
+				pi.Add(ps[r.Intn(len(ps))])
+			}
+			if ok, _ := PiRepairable(kb, pi); ok {
+				clean++
+			} else {
+				violated++
+			}
+			var fixes []Fix
+			for i := 0; i < 12; i++ {
+				p := ps[r.Intn(len(ps))]
+				if pi.Has(p) {
+					continue
+				}
+				f := Fix{Pos: p, Value: consts[r.Intn(3)]}
+				if f.Value != kb.Facts.Value(p) && !pc.fastSafe(pi, piValues(kb.Facts, pi), f) {
+					fixes = append(fixes, f)
+				}
+			}
+			got, err := pc.CheckBatch(pi, fixes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc.FastHits != 0 {
+				t.Fatalf("seed %d: %d fixes took the fast path", seed, pc.FastHits)
+			}
+			for i, f := range fixes {
+				k2 := kb.Clone()
+				k2.Facts.MustSetValue(f.Pos, f.Value)
+				want, err := PiRepairable(k2, pi.With(f.Pos))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Fatalf("seed %d batch %d: fix %s=%v under Π=%v: fix-local verdict %v, Algorithm 1 %v\n%s",
+						seed, batch, f.Pos, f.Value, pi, got[i], want, kb.Facts)
+				}
+				decided++
+			}
+		}
+	}
+	if violated == 0 || clean == 0 || decided == 0 {
+		t.Fatalf("table too weak: %d violated and %d clean instances, %d verdicts", violated, clean, decided)
+	}
+}

@@ -230,7 +230,8 @@ func nextCombination(idx []int, n int) bool {
 }
 
 // deletionRepairs reports whether removing exactly the given facts yields a
-// consistent KB.
+// consistent KB. The surviving facts go into a fresh store private to this
+// call, so the in-place consistency check has exclusive access to it.
 func deletionRepairs(kb *core.KB, removed map[store.FactID]bool) (bool, error) {
 	facts, err := survivors(kb.Facts, removed)
 	if err != nil {

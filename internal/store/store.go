@@ -22,13 +22,16 @@
 // goroutines may call the read-side accessors (Candidates,
 // CandidatesByPred, ActiveDomain, FactRef, Value, Contains, NullForPos,
 // NullForCoord, …) simultaneously as long as no goroutine mutates the store
-// (Add, AddBatch, SetValue) in the same window. Writes require exclusive
-// access; the caller provides that exclusion — the store has no internal
-// locking, because the repair pipeline's phases are already strictly
-// "parallel read, then sequential write" (parallel conflict detection, chase
-// trigger collection and speculative rule firing read; fix application and
-// the chase commit phase write from one goroutine between fan-outs). Metric
-// increments inside read paths are atomic and do not break the contract.
+// (Add, AddBatch, SetValue, Truncate) in the same window. Writes require
+// exclusive access; the caller provides that exclusion — the store has no
+// internal locking, because the repair pipeline's phases are already
+// strictly "parallel read, then sequential write" (parallel conflict
+// detection, chase trigger collection and speculative rule firing read; fix
+// application and the chase commit phase write from one goroutine between
+// fan-outs). A consistency check that chases a store in place
+// (chase.IsConsistentOpt) is a writer for its whole duration, although it
+// truncates the store back before returning. Metric increments inside read
+// paths are atomic and do not break the contract.
 package store
 
 import (
@@ -175,6 +178,52 @@ func (s *Store) AddBatch(atoms []logic.Atom) ([]FactID, error) {
 		ids[i] = id
 	}
 	return ids, nil
+}
+
+// Truncate removes every fact with id ≥ n, newest first, and takes it out
+// of every index — the rollback of a run of appends (a chase extending the
+// store it was handed). Append-only growth puts a fact's id at the tail of
+// each index list it joined, so popping newest-first leaves every list,
+// domain count and map key exactly as they stood when the store had n
+// facts, and homomorphism enumeration order is unchanged by an append /
+// Truncate pair. (After an interleaved SetValue the facts are still
+// removed, but list order is only as SetValue left it.) Truncate is a
+// write under the concurrency contract. n ≥ Len() is a no-op.
+func (s *Store) Truncate(n int) {
+	if n < 0 {
+		n = 0
+	}
+	for id := FactID(len(s.facts) - 1); int(id) >= n; id-- {
+		a := s.facts[id]
+		dropID(s.byPred, a.Pred, id)
+		for i, t := range a.Args {
+			dropID(s.index, indexKey{a.Pred, i, t}, id)
+			s.adomRemove(a.Pred, i, t)
+		}
+		dropID(s.byKey, a.Key(), id)
+		s.facts[id] = logic.Atom{}
+	}
+	if n < len(s.facts) {
+		s.facts = s.facts[:n]
+	}
+}
+
+// dropID removes id from the list m[k], searching from the tail (where
+// Truncate finds it after append-only growth) and keeping the order of the
+// rest, and deletes the key once its list is empty.
+func dropID[K comparable](m map[K][]FactID, k K, id FactID) {
+	lst := m[k]
+	for i := len(lst) - 1; i >= 0; i-- {
+		if lst[i] == id {
+			lst = append(lst[:i], lst[i+1:]...)
+			break
+		}
+	}
+	if len(lst) == 0 {
+		delete(m, k)
+	} else {
+		m[k] = lst
+	}
 }
 
 // MustAdd is like Add but panics on error.
