@@ -5,7 +5,7 @@ GO ?= go
 BENCH_ARGS ?= -exp fig3 -scale 0.25 -reps 3 -seed 1
 BENCH_THRESHOLD ?= 1.25
 
-.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke ci
+.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,12 @@ sched-smoke:
 		-trace smoke-sched/run.trace -sched smoke-sched/sched.json
 	$(GO) run ./cmd/kbtrace -sched smoke-sched/sched.json -chrome smoke-sched/chrome.json smoke-sched/run.trace
 
+# fuzz-smoke runs the parser's fuzz target for a few seconds beyond its seed
+# corpus (which plain go test already replays): FuzzParse is the repo's only
+# fuzz target, and malformed KB text must yield an error, never a panic.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/parser
+
 # ci is the whole gate in one target, mirroring .github/workflows/ci.yml
 # for environments without Actions.
-ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke
+ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke

@@ -1,0 +1,96 @@
+package chase
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"kbrepair/internal/homo"
+	"kbrepair/internal/logic"
+	"kbrepair/internal/store"
+)
+
+// randomDeltaRule draws a TGD body of one to three atoms over p/2, q/2
+// and r/1, with variables shared across and repeated within atoms and the
+// occasional constant — the shapes a pinned search must bind correctly.
+func randomDeltaRule(r *rand.Rand, consts []logic.Term) *logic.TGD {
+	vars := []logic.Term{logic.V("X"), logic.V("Y"), logic.V("Z")}
+	term := func() logic.Term {
+		if r.Intn(6) == 0 {
+			return consts[r.Intn(len(consts))]
+		}
+		return vars[r.Intn(len(vars))]
+	}
+	body := make([]logic.Atom, 1+r.Intn(3))
+	for i := range body {
+		switch r.Intn(3) {
+		case 0:
+			body[i] = logic.NewAtom("p", term(), term())
+		case 1:
+			body[i] = logic.NewAtom("q", term(), term())
+		default:
+			body[i] = logic.NewAtom("r", term())
+		}
+	}
+	return &logic.TGD{Body: body, Head: []logic.Atom{logic.NewAtom("h")}}
+}
+
+// TestDeltaCollectionMatchesFilter pins pinned delta collection to its
+// definition: on random stores, rules and delta boundaries, collectDelta
+// finds exactly the body homomorphisms that map some atom onto a fact with
+// id ≥ lo — the set the enumerate-then-filter collection kept — each once.
+// Duplicate facts and updated values (index lists out of id order) are in
+// the mix.
+func TestDeltaCollectionMatchesFilter(t *testing.T) {
+	consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c"), logic.N("n")}
+	key := func(m homo.Match) string { return fmt.Sprint(m.Facts, m.Subst.Key()) }
+	var found int
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := store.New()
+		n := 1 + r.Intn(14)
+		for i := 0; i < n; i++ {
+			c := func() logic.Term { return consts[r.Intn(len(consts))] }
+			switch r.Intn(3) {
+			case 0:
+				s.MustAdd(logic.NewAtom("p", c(), c()))
+			case 1:
+				s.MustAdd(logic.NewAtom("q", c(), c()))
+			default:
+				s.MustAdd(logic.NewAtom("r", c()))
+			}
+			if i > 0 && r.Intn(5) == 0 {
+				s.MustAdd(s.Fact(store.FactID(r.Intn(i))))
+			}
+		}
+		for i := 0; i < n/3; i++ {
+			id := store.FactID(r.Intn(s.Len()))
+			s.MustSetValue(store.Position{Fact: id, Arg: r.Intn(s.Arity(id))}, consts[r.Intn(len(consts))])
+		}
+		lo := store.FactID(1 + r.Intn(s.Len()))
+		rs := compileRules([]*logic.TGD{randomDeltaRule(r, consts)}, nil, s)
+		var want []string
+		for _, m := range collectAll(s, rs.rules[0].body) {
+			if slices.ContainsFunc(m.Facts, func(f store.FactID) bool { return f >= lo }) {
+				want = append(want, key(m))
+			}
+		}
+		var got []string
+		for _, m := range collectDelta(s, rs.rules[0], lo) {
+			if len(m.Facts) != len(rs.rules[0].tgd.Body) {
+				t.Fatalf("seed %d: match %v does not cover the body %v", seed, m.Facts, rs.rules[0].tgd.Body)
+			}
+			got = append(got, key(m))
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: rule %s, delta from #%d:\n got %v\nwant %v\n%s", seed, rs.rules[0].tgd, lo, got, want, s)
+		}
+		found += len(got)
+	}
+	if found == 0 {
+		t.Fatal("table too weak: no delta trigger collected")
+	}
+}

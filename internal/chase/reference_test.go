@@ -38,27 +38,27 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 			}
 		}
 	}
-	delta := s.IDs()
+	rs := compileRules(tgds, nil, s)
 	budget := opts.maxDerived()
-	for len(delta) > 0 {
+	for lo := store.FactID(0); int(lo) < s.Len(); {
 		res.Rounds++
 		if res.Rounds > opts.maxRounds() {
 			return res, fmt.Errorf("%w: more than %d rounds", ErrBudget, opts.maxRounds())
 		}
-		deltaSet := make(map[store.FactID]bool, len(delta))
-		for _, id := range delta {
-			deltaSet[id] = true
-		}
-		all := res.Rounds == 1
 		// All triggers are collected against the round-start snapshot,
-		// before any firing — the same discipline as the parallel engine.
+		// before any firing — the same discipline as the parallel engine,
+		// with its collection (a full first round, then pinned delta
+		// rounds; TestDeltaCollectionMatchesFilter pins it to the
+		// enumerate-then-filter definition), rule by rule.
 		perRule := make([][]homo.Match, len(tgds))
-		for i, rule := range tgds {
-			plan := homo.CachedPlanWith(homo.CacheKey{Owner: rule, Tag: homo.TagBody}, rule.Body,
-				homo.CompileOpts{Stats: s})
-			perRule[i] = collectTriggers(s, plan, all, deltaSet)
+		for i := range tgds {
+			if lo == 0 {
+				perRule[i] = collectAll(s, rs.rules[i].body)
+			} else {
+				perRule[i] = collectDelta(s, rs.rules[i], lo)
+			}
 		}
-		var newDelta []store.FactID
+		lo = store.FactID(s.Len())
 		for ri, rule := range tgds {
 			frontVars := rule.FrontierVars()
 			existential := rule.ExistentialVars()
@@ -86,11 +86,9 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 						return res, fmt.Errorf("chase: firing %s: %w", rule, err)
 					}
 					res.Prov[id] = Derivation{Rule: rule, Parents: m.Facts, HeadIdx: i}
-					newDelta = append(newDelta, id)
 				}
 			}
 		}
-		delta = newDelta
 	}
 	return res, nil
 }

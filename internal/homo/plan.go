@@ -184,35 +184,42 @@ func containsInt(xs []int, x int) bool {
 }
 
 // Cache tags distinguish the conjunctions compiled from one rule. Pinned
-// plans (the conflict tracker's body-minus-one-atom tasks) use TagPinned+i
-// for pinned atom index i.
+// plans (PinnedPlan's body-minus-one-atom conjunctions) use TagPinned+i for
+// pinned atom index i.
 const (
 	TagBody   = 0
 	TagHead   = 1
 	TagPinned = 2
 )
 
-// CacheKey identifies a compiled conjunction in the process-wide plan cache.
-// Owner must be a stable comparable identity for the conjunction — in
-// practice the *logic.TGD or *logic.CDD pointer, which is shared across KB
-// clones and lives for the session. Spec is the compile-option fingerprint
-// (kernel mode + prebound variables); CachedPlanWith fills it from the
-// options, so differently specialized plans of one rule never collide.
+// Owner is what compiled plans are cached on: a rule (*logic.TGD or
+// *logic.CDD), whose Memo holds every plan compiled from it, so plans live
+// exactly as long as their rule and a session's plans are collected with
+// its rules.
+type Owner interface{ Memo() *sync.Map }
+
+// CacheKey identifies a compiled conjunction in its owner's memo: the rule
+// it is derived from and which of the rule's conjunctions it is. The
+// compile options' mode and prebound variables join the key inside
+// CachedPlanWith, so differently specialized plans of one rule never
+// collide.
 type CacheKey struct {
-	Owner any
+	Owner Owner
 	Tag   int
-	Spec  string
 }
 
-var (
-	planCache sync.Map // CacheKey -> *Plan
-	// planCompileMu serializes cache misses so each key compiles exactly
-	// once. The old LoadOrStore race compiled a key twice when two workers
-	// missed together — harmless for the plans (the loser was dropped) but
-	// it made homo.plan_compiles / homo.plan_cache_hits depend on
-	// scheduling, which the profile's cache-hit rate must not.
-	planCompileMu sync.Mutex
-)
+// planKey is a plan's key within its owner's memo.
+type planKey struct {
+	tag  int
+	spec string
+}
+
+// planCompileMu serializes cache misses so each key compiles exactly once.
+// A racing LoadOrStore would compile a key twice when two workers missed
+// together — harmless for the plans (the loser was dropped) but it made
+// homo.plan_compiles / homo.plan_cache_hits depend on scheduling, which the
+// profile's cache-hit rate must not.
+var planCompileMu sync.Mutex
 
 // CachedPlan returns the compiled plan for key, compiling body on first use
 // with default options. The cache is keyed by rule identity, not body
@@ -228,19 +235,20 @@ func CachedPlan(key CacheKey, body []logic.Atom) *Plan {
 // key binds the order — compile at a point where the store is representative,
 // e.g. chase.PrecompilePlans before any parallel fan-out).
 func CachedPlanWith(key CacheKey, body []logic.Atom, opts CompileOpts) *Plan {
-	key.Spec = opts.spec()
-	if v, ok := planCache.Load(key); ok {
+	memo := key.Owner.Memo()
+	k := planKey{tag: key.Tag, spec: opts.spec()}
+	if v, ok := memo.Load(k); ok {
 		mPlanHits.Inc()
 		return v.(*Plan)
 	}
 	planCompileMu.Lock()
 	defer planCompileMu.Unlock()
-	if v, ok := planCache.Load(key); ok {
+	if v, ok := memo.Load(k); ok {
 		mPlanHits.Inc()
 		return v.(*Plan)
 	}
 	p := CompileWith(body, opts)
-	planCache.Store(key, p)
+	memo.LoadOrStore(k, p)
 	return p
 }
 

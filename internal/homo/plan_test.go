@@ -181,11 +181,15 @@ func TestPlanExistsEarlyStop(t *testing.T) {
 	}
 }
 
+// owner is a stand-in rule for plan-cache tests.
+type owner struct{ memo sync.Map }
+
+func (o *owner) Memo() *sync.Map { return &o.memo }
+
 // TestCachedPlanIdentity: same key must return the pointer-identical plan,
 // also under concurrency.
 func TestCachedPlanIdentity(t *testing.T) {
 	_, body := planFixture(t, 5)
-	type owner struct{ _ int }
 	o := &owner{}
 	key := CacheKey{Owner: o, Tag: TagBody}
 	first := CachedPlan(key, body)
@@ -211,7 +215,6 @@ func TestCachedPlanIdentity(t *testing.T) {
 // sees a complete, ordered enumeration.
 func TestCachedPlanConcurrentSearch(t *testing.T) {
 	s, body := planFixture(t, 40)
-	type owner struct{ _ int }
 	p := CachedPlan(CacheKey{Owner: &owner{}, Tag: TagBody}, body)
 	want := fmt.Sprint(matchSignature(collectPlan(p, s, nil)))
 	var wg sync.WaitGroup

@@ -104,8 +104,10 @@ var LatencyBuckets = []float64{
 type Histogram struct {
 	name   string
 	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	count  atomic.Int64
+	// counts has len(bounds)+1 cells, the last for overflow. The total
+	// count is their sum, never a separate atomic: a snapshot reading a
+	// total and then the cells would see observations land in between.
+	counts []atomic.Int64
 	sum    atomicFloat
 	min    atomicFloat
 	max    atomicFloat
@@ -158,7 +160,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.add(v)
 	h.min.min(v)
 	h.max.max(v)
@@ -176,8 +177,14 @@ func (h *Histogram) Since(t Timer) {
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the bucket cells.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
@@ -187,22 +194,23 @@ func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sum.store(0)
 	h.min.store(math.Inf(1))
 	h.max.store(math.Inf(-1))
 }
 
-// Snapshot captures a consistent-enough view (individual fields are atomic;
-// cross-field skew of in-flight observations is acceptable for reporting).
+// Snapshot captures a consistent-enough view. Count is the sum of the
+// bucket cells it read, so buckets and count always agree and both are
+// monotone across snapshots; sum, min and max are separate atomics whose
+// skew against in-flight observations is acceptable for reporting.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:  h.count.Load(),
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	if s.Count > 0 {
 		s.Sum = h.sum.load()
