@@ -10,7 +10,6 @@ import (
 
 	"kbrepair/internal/chase"
 	"kbrepair/internal/conflict"
-	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/store"
 )
@@ -79,20 +78,35 @@ func (kb *KB) Validate() error {
 // contradiction detector, and voids the §3 repairability guarantee. The
 // paper's join-variable meaningfulness assumption is intended to exclude
 // exactly these.
+//
+// The instance has one fact per predicate and pairwise distinct nulls, so
+// the homomorphism must send every atom to its predicate's fact, argument
+// by argument. It exists iff the body has no constant (a CDD has no
+// nulls, see logic.CDD.Validate), atoms of one predicate agree on arity,
+// and each variable occurs at one argument index of one predicate only.
 func IsDegenerateCDD(c *logic.CDD) bool {
-	anon := store.New()
-	added := make(map[string]bool)
+	type slot struct {
+		pred string
+		arg  int
+	}
+	arity := make(map[string]int)
+	at := make(map[logic.Term]slot)
 	for _, a := range c.Body {
-		if !added[a.Pred] {
-			added[a.Pred] = true
-			anon.MustAdd(logic.NewAtom(a.Pred, anonArgs(anon, a.Arity())...))
+		if n, ok := arity[a.Pred]; ok && n != len(a.Args) {
+			return false
+		}
+		arity[a.Pred] = len(a.Args)
+		for i, t := range a.Args {
+			if !t.IsVar() {
+				return false
+			}
+			if prev, ok := at[t]; ok && prev != (slot{a.Pred, i}) {
+				return false
+			}
+			at[t] = slot{a.Pred, i}
 		}
 	}
-	// Compiled uncached on purpose: the shared plan cache key {c, TagBody} is
-	// the one conflict scanning uses, and validation runs before any real
-	// scan. Binding the cached plan's join order to this one-fact anonymized
-	// store would poison the order for the store that matters.
-	return homo.Compile(c.Body).Exists(anon)
+	return true
 }
 
 // anonArgs returns the arguments of the next fact of a fully anonymized

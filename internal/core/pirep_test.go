@@ -360,14 +360,16 @@ func TestCheckBatchRejectsOutOfRangeBeforeFastPath(t *testing.T) {
 	}
 }
 
-// TestFixLocalVerdictAgreesWithAlgorithm1: on random CDD-only KBs, one
-// checker per KB decides several batches under random Π — not filtered for
-// Π-repairability, since opti-prop pins positions unverified, and redrawn
-// per batch so the instance sync and the violation summary's refresh go
-// both ways between violated and clean. Every fix the fast path leaves to
-// a full check gets a fix-local verdict equal to Algorithm 1 on the fixed
-// copy, so both the "a violation avoids the fix" shortcut and the pinned
-// search are exercised; one batch in four runs unoptimized in between.
+// TestFixLocalVerdictAgreesWithAlgorithm1: on random CDD-only KBs, where a
+// continuation is local to the fixed fact, one checker per KB decides
+// several batches under random Π — not filtered for Π-repairability, since
+// opti-prop pins positions unverified, and redrawn per batch so the
+// instance sync and its violated flag go both ways between violated and
+// clean, also by pinned searches after a clean batch. Every fix the fast
+// path leaves to a full check gets a verdict equal to Algorithm 1 on the
+// fixed copy, so both the rejection by a violated instance and the pinned
+// search at the fixed fact are exercised; one batch in four runs
+// unoptimized in between.
 func TestFixLocalVerdictAgreesWithAlgorithm1(t *testing.T) {
 	consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c")}
 	cdds := []*logic.CDD{
@@ -402,7 +404,7 @@ func TestFixLocalVerdictAgreesWithAlgorithm1(t *testing.T) {
 		ps := kb.Facts.Positions()
 		for batch := 0; batch < 4; batch++ {
 			// Batch 2 runs with the fast path off (full in-place checks
-			// that sync slot 0 behind the fix-local summary's back).
+			// that sync slot 0 and drop its saturation).
 			pc.Optimized = batch != 2
 			pi := NewPi()
 			for i := 0; i < 1+r.Intn(6); i++ {
@@ -439,7 +441,7 @@ func TestFixLocalVerdictAgreesWithAlgorithm1(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got[i] != want {
-					t.Fatalf("seed %d batch %d: fix %s=%v under Π=%v: fix-local verdict %v, Algorithm 1 %v\n%s",
+					t.Fatalf("seed %d batch %d: fix %s=%v under Π=%v: verdict %v, Algorithm 1 %v\n%s",
 						seed, batch, f.Pos, f.Value, pi, got[i], want, kb.Facts)
 				}
 				decided++
