@@ -5,7 +5,7 @@ GO ?= go
 BENCH_ARGS ?= -exp fig3 -scale 0.25 -reps 3 -seed 1
 BENCH_THRESHOLD ?= 1.25
 
-.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke ci
+.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -137,6 +137,20 @@ sched-smoke:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/parser
 
+# perfbench-smoke builds the repair-session benchmark (perfbench/, its own
+# module), runs its unit tests, then runs each workload for two seconds in
+# traced mode, which checks every session: the repaired KB is consistent,
+# the applied fixes form a c-fix, and each traced repair equals its
+# untraced twin. A change that breaks a workload fails here, not first in
+# a benchmark run.
+PERFBENCH_WORKLOADS ?= cdd-large durum-random tgd-interactive
+
+perfbench-smoke:
+	cd perfbench && $(GO) test .
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seconds 2 --trace 1 || exit 1; \
+	done
+
 # ci is the whole gate in one target, mirroring .github/workflows/ci.yml
 # for environments without Actions.
-ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke
+ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke

@@ -106,7 +106,7 @@ type Result struct {
 
 	// supportMu guards supportMemo. Provenance is immutable once the run
 	// returns, so the memo only ever grows; the lock makes the cache safe
-	// for the concurrent per-CDD scans of conflict.All.
+	// for the concurrent per-CDD scans of a chase-level conflict scan.
 	supportMu sync.Mutex
 	// supportMemo caches BaseSupport per fact: conflict materialization
 	// walks the same shared provenance DAG once per chase-level conflict
@@ -335,6 +335,16 @@ func Run(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
 	return run(base.Clone(), tgds, opts, "")
 }
 
+// RunInPlace is Run on s itself: derived facts are appended to s, which
+// becomes the result store, and the facts already there keep their ids,
+// values and index entries. A caller that wants s back truncates it to its
+// length before the call, on every exit (ErrBudget and a firing error leave
+// what was derived so far). RunInPlace is a writer under the store's
+// concurrency contract: the caller holds s exclusively for the call.
+func RunInPlace(s *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
+	return run(s, tgds, opts, "")
+}
+
 // run chases base in place under tgds, compiled for this call (see
 // runRules).
 func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
@@ -366,8 +376,8 @@ func runRules(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abor
 // chaseLoop is the saturation engine. It extends the store it is handed:
 // derived facts are appended after the facts already there, whose ids,
 // values and index entries it never touches — so a caller that wants the
-// store back truncates it (IsConsistentOpt, Checker), and one that keeps the
-// result hands in a clone (Run).
+// store back truncates it (IsConsistentOpt, Checker, the in-place conflict
+// scan), and one that keeps the result hands in a clone (Run).
 //
 // The first round's delta is every fact with id ≥ from, and each later
 // round's delta is what the round before derived. Both are a tail of the

@@ -63,7 +63,11 @@ type Conflict struct {
 	Hom logic.Subst
 	// Facts are the facts the body atoms map onto, in body order. For
 	// naive conflicts they are base-store ids; for chase conflicts they
-	// are ids in the chase result store.
+	// are ids in the chase result store. A non-direct conflict of an
+	// in-place scan (AllInPlace) names derived ids that the scan's
+	// truncation removed again, so only a direct conflict's Facts may be
+	// read against the store (JoinPositions and PositionRanks do only
+	// that).
 	Facts []store.FactID
 	// BaseFacts is the base support of the conflict: for naive conflicts
 	// the (deduplicated) Facts themselves, for chase conflicts the base
@@ -75,6 +79,17 @@ type Conflict struct {
 	// atoms all map onto base facts). Join-position retrieval (opti-join)
 	// is only defined for direct conflicts.
 	Direct bool
+	// key caches Key for conflicts built by a scan, which computes it
+	// anyway to deduplicate; empty for a conflict built elsewhere.
+	key string
+}
+
+// newConflict builds a conflict of CDD idx with homomorphism hom onto
+// facts, computing its key once.
+func newConflict(cdd *logic.CDD, idx int, hom logic.Subst, facts, baseFacts []store.FactID, direct bool) *Conflict {
+	c := &Conflict{CDD: cdd, CDDIdx: idx, Hom: hom, Facts: facts, BaseFacts: baseFacts, Direct: direct}
+	c.key = c.computeKey()
+	return c
 }
 
 // JoinPositions returns, for a direct conflict, the base positions holding
@@ -126,6 +141,13 @@ func (c *Conflict) joinPositionsInto(buf []store.Position, args [][]int) []store
 
 // Key identifies the conflict up to the paper's (N, h) identity.
 func (c *Conflict) Key() string {
+	if c.key != "" {
+		return c.key
+	}
+	return c.computeKey()
+}
+
+func (c *Conflict) computeKey() string {
 	return fmt.Sprintf("%d|%s", c.CDDIdx, c.Hom.Key())
 }
 
@@ -241,16 +263,10 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 			}
 			baseFacts = res.BaseSupportAll(m.Facts)
 		}
-		cf := &Conflict{
-			CDD:       cdd,
-			CDDIdx:    idx,
-			Hom:       m.Subst.Clone(),
-			Facts:     append([]store.FactID(nil), m.Facts...),
-			BaseFacts: dedupIDs(baseFacts),
-			Direct:    direct,
-		}
-		if k := cf.Key(); !seen[k] {
-			seen[k] = true
+		cf := newConflict(cdd, idx, m.Subst.Clone(), append([]store.FactID(nil), m.Facts...),
+			dedupIDs(baseFacts), direct)
+		if !seen[cf.key] {
+			seen[cf.key] = true
 			out = append(out, cf)
 		}
 		return true
@@ -266,8 +282,31 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 // support via chase provenance. Only the TGDs relevant to the CDDs are
 // chased (derivations from other rules can never take part in a CDD-body
 // homomorphism). It returns the conflicts together with the chase result
-// they were evaluated on.
+// they were evaluated on, whose store is a clone of base extended with the
+// derived facts; base itself is not modified.
 func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, *chase.Result, error) {
+	// Callers keep the chase result, so the scan chases a clone.
+	return scan(base.Clone(), tgds, cdds, opts)
+}
+
+// AllInPlace returns the conflicts All returns, without copying s: the
+// scan chases s itself and truncates it back to its facts before the call
+// on every exit — conflicts found, ErrBudget or a firing error — so s ends
+// exactly as it was, index order included. AllInPlace is therefore a
+// writer under the store's concurrency contract: the caller holds s
+// exclusively for the call. The chase result is gone when it returns, and
+// with it the derived facts a non-direct conflict's Facts name (see
+// Conflict.Facts).
+func AllInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, error) {
+	defer s.Truncate(s.Len())
+	cs, _, err := scan(s, tgds, cdds, opts)
+	return cs, err
+}
+
+// scan chases s in place under the TGDs relevant to the CDDs and evaluates
+// every CDD body on the result: the one chase-level scan behind All (on a
+// clone) and AllInPlace (on the caller's store, truncated afterwards).
+func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, *chase.Result, error) {
 	mScans.Inc()
 	tm := obs.StartTimer()
 	defer mDetectTime.Since(tm)
@@ -282,7 +321,7 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 		opts.TraceParent = sp.ID()
 	}
 	tgds = chase.RelevantTGDs(tgds, cdds)
-	res, err := chase.Run(base, tgds, opts)
+	res, err := chase.RunInPlace(s, tgds, opts)
 	if err != nil {
 		sp.End()
 		return nil, nil, err

@@ -1,7 +1,9 @@
 package conflict
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
@@ -22,11 +24,10 @@ type Tracker struct {
 	cdds      []*logic.CDD
 	conflicts map[string]*Conflict
 	byFact    map[store.FactID]map[string]bool
-	// ordered/orderedKeys hold the live conflicts sorted by key, maintained
-	// incrementally by binary-search insertion and removal — the keyed merge
-	// that replaced re-sorting the whole set on every Conflicts call. Keys
-	// are computed once at insertion (Conflict.Key formats a string) and
-	// kept parallel to the conflicts.
+	// ordered/orderedKeys hold the live conflicts sorted by key: filled by
+	// one sort at construction, then maintained by binary-search insertion
+	// and removal — the keyed merge that replaced re-sorting the whole set
+	// on every Conflicts call. Keys are kept parallel to the conflicts.
 	ordered     []*Conflict
 	orderedKeys []string
 	// pins holds the pinned-atom plans Update re-evaluates with.
@@ -44,17 +45,79 @@ func NewTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
 // NewTrackerUnder is NewTracker with the initial conflict scan's trace span
 // parented under the given span id (0 for a root).
 func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Tracker {
-	t := &Tracker{
+	t := newTracker(base, cdds)
+	t.fill(AllNaiveUnder(parent, base, cdds))
+	return t
+}
+
+// NewTrackerOf builds the tracker from a chase-level scan of base that the
+// caller has already made (AllInPlace or All on base, under the same CDDs),
+// instead of scanning base again: its direct conflicts are exactly the
+// naive conflicts NewTracker would find.
+//
+// A naive conflict is a homomorphism h from body(N) into F. F is part of
+// the chase, so the chase-level scan finds h with every body atom on a
+// base fact — a direct conflict — and a direct conflict is, conversely, a
+// homomorphism into F. Both scans name it by the same CDD index and h, so
+// they agree on its key, its Facts (base ids, which the chase leaves in
+// place), its BaseFacts (the deduplicated Facts: a base fact supports only
+// itself) and Direct. A rule with several head atoms can derive a copy of
+// a base atom, so the chase-level scan may meet h on derived facts too.
+// Each scan keeps the first match of an h, and a search reads index
+// lists in which every base fact precedes every derived one, so that first
+// match lies on base facts: filtering on Direct loses no naive conflict.
+// When F holds one atom twice, the two scans keep the same copy as long as
+// their searches read the same index lists, as they do on a store whose
+// lists are in fact-id order (no value set since it was built). Otherwise a
+// search may pick a different list, now that the chase has lengthened
+// some, and keep the other copy.
+func NewTrackerOf(base *store.Store, cdds []*logic.CDD, scanned []*Conflict) *Tracker {
+	t := newTracker(base, cdds)
+	t.fill(Direct(scanned))
+	return t
+}
+
+// Direct returns the direct conflicts of cs, in order, in a new slice. Of a
+// chase-level scan of F these are the naive conflicts of F (see
+// NewTrackerOf).
+func Direct(cs []*Conflict) []*Conflict {
+	out := make([]*Conflict, 0, len(cs))
+	for _, c := range cs {
+		if c.Direct {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func newTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
+	return &Tracker{
 		base:      base,
 		cdds:      cdds,
 		conflicts: make(map[string]*Conflict),
 		byFact:    make(map[store.FactID]map[string]bool),
 		pins:      NewPins(cdds, base),
 	}
-	for _, c := range AllNaiveUnder(parent, base, cdds) {
-		t.add(c)
+}
+
+// fill loads the initial conflicts of an empty tracker with one stable
+// sort by key, keeping the first conflict of each key — what adding them
+// one by one in order would keep, without a slice shift per insertion. It
+// takes cs over: the sort reorders it and the tracker keeps its storage.
+func (t *Tracker) fill(cs []*Conflict) {
+	slices.SortStableFunc(cs, func(a, b *Conflict) int { return strings.Compare(a.Key(), b.Key()) })
+	t.ordered = cs[:0]
+	t.orderedKeys = make([]string, 0, len(cs))
+	for _, c := range cs {
+		k := c.Key()
+		if n := len(t.orderedKeys); n > 0 && t.orderedKeys[n-1] == k {
+			continue
+		}
+		t.ordered = append(t.ordered, c)
+		t.orderedKeys = append(t.orderedKeys, k)
+		t.index(k, c)
 	}
-	return t
+	mEdgeAdd.Add(int64(len(t.ordered)))
 }
 
 // Pins is the pinned-atom plan table of a CDD set: for every body atom of
@@ -121,14 +184,15 @@ func (t *Tracker) add(c *Conflict) {
 		return
 	}
 	mEdgeAdd.Inc()
-	t.conflicts[k] = c
 	i := sort.SearchStrings(t.orderedKeys, k)
-	t.orderedKeys = append(t.orderedKeys, "")
-	copy(t.orderedKeys[i+1:], t.orderedKeys[i:])
-	t.orderedKeys[i] = k
-	t.ordered = append(t.ordered, nil)
-	copy(t.ordered[i+1:], t.ordered[i:])
-	t.ordered[i] = c
+	t.orderedKeys = slices.Insert(t.orderedKeys, i, k)
+	t.ordered = slices.Insert(t.ordered, i, c)
+	t.index(k, c)
+}
+
+// index records c under key k in the key map and the per-fact sets.
+func (t *Tracker) index(k string, c *Conflict) {
+	t.conflicts[k] = c
 	for _, f := range c.BaseFacts {
 		m := t.byFact[f]
 		if m == nil {
@@ -246,14 +310,7 @@ func (t *Tracker) scanPinned(id store.FactID, atom logic.Atom, task pinTask) []*
 		for v, val := range task.seed {
 			full[v] = val
 		}
-		out = append(out, &Conflict{
-			CDD:       cdd,
-			CDDIdx:    task.ci,
-			Hom:       full,
-			Facts:     facts,
-			BaseFacts: dedupIDs(facts),
-			Direct:    true,
-		})
+		out = append(out, newConflict(cdd, task.ci, full, facts, dedupIDs(facts), true))
 		return true
 	})
 	return out

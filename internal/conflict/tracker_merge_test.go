@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"kbrepair/internal/chase"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/store"
 )
@@ -28,46 +29,65 @@ func mergeFixture(tb testing.TB, n int) (*store.Store, []*logic.CDD) {
 
 // TestTrackerOrderedInvariant churns the tracker through removals and
 // re-additions and checks the incrementally maintained order stays exactly
-// the sorted-by-key view of the conflict map after every step.
+// the sorted-by-key view of the conflict map after every step — starting
+// from each bulk fill: NewTracker's naive scan, and NewTrackerOf seeded
+// from a chase-level scan whose conflicts come in twice.
 func TestTrackerOrderedInvariant(t *testing.T) {
-	s, cdds := mergeFixture(t, 40)
-	tr := NewTracker(s, cdds)
-	if tr.Len() != 40 {
-		t.Fatalf("initial conflicts = %d, want 40", tr.Len())
-	}
-	check := func(step string) {
-		t.Helper()
-		wantKeys := make([]string, 0, len(tr.conflicts))
-		for k := range tr.conflicts {
-			wantKeys = append(wantKeys, k)
-		}
-		sort.Strings(wantKeys)
-		cs := tr.Conflicts()
-		if len(cs) != len(wantKeys) {
-			t.Fatalf("%s: Conflicts() len %d, map len %d", step, len(cs), len(wantKeys))
-		}
-		for i, c := range cs {
-			if c.Key() != wantKeys[i] {
-				t.Fatalf("%s: ordered[%d] = %s, want %s", step, i, c.Key(), wantKeys[i])
+	for _, seed := range []string{"naive scan", "chase-level scan, keys repeated"} {
+		s, cdds := mergeFixture(t, 40)
+		var tr *Tracker
+		if seed == "naive scan" {
+			tr = NewTracker(s, cdds)
+		} else {
+			cs, _, err := All(s, nil, cdds, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tr.orderedKeys[i] != wantKeys[i] {
-				t.Fatalf("%s: orderedKeys[%d] = %s, want %s", step, i, tr.orderedKeys[i], wantKeys[i])
+			tr = NewTrackerOf(s, cdds, append(cs, cs...))
+		}
+		if tr.Len() != 40 {
+			t.Fatalf("%s: initial conflicts = %d, want 40", seed, tr.Len())
+		}
+		check := func(step string) {
+			t.Helper()
+			wantKeys := make([]string, 0, len(tr.conflicts))
+			for k := range tr.conflicts {
+				wantKeys = append(wantKeys, k)
+			}
+			sort.Strings(wantKeys)
+			cs := tr.Conflicts()
+			if len(cs) != len(wantKeys) || len(tr.orderedKeys) != len(wantKeys) {
+				t.Fatalf("%s, %s: Conflicts() len %d, orderedKeys len %d, map len %d",
+					seed, step, len(cs), len(tr.orderedKeys), len(wantKeys))
+			}
+			for i, c := range cs {
+				if c.Key() != wantKeys[i] {
+					t.Fatalf("%s, %s: ordered[%d] = %s, want %s", seed, step, i, c.Key(), wantKeys[i])
+				}
+				if tr.orderedKeys[i] != wantKeys[i] {
+					t.Fatalf("%s, %s: orderedKeys[%d] = %s, want %s", seed, step, i, tr.orderedKeys[i], wantKeys[i])
+				}
+				for _, f := range c.BaseFacts {
+					if !tr.byFact[f][wantKeys[i]] {
+						t.Fatalf("%s, %s: fact %d does not list conflict %s", seed, step, f, wantKeys[i])
+					}
+				}
 			}
 		}
-	}
-	check("initial")
-	// Break conflicts by retargeting p facts (even ids), then restore them.
-	for i := 0; i < 40; i += 3 {
-		id := store.FactID(2 * i)
-		old := s.MustSetValue(store.Position{Fact: id, Arg: 1}, logic.C("nowhere"))
-		tr.Update(id)
-		check(fmt.Sprintf("break %d", i))
-		s.MustSetValue(store.Position{Fact: id, Arg: 1}, old)
-		tr.Update(id)
-		check(fmt.Sprintf("restore %d", i))
-	}
-	if tr.Len() != 40 {
-		t.Fatalf("after churn conflicts = %d, want 40", tr.Len())
+		check("initial")
+		// Break conflicts by retargeting p facts (even ids), then restore them.
+		for i := 0; i < 40; i += 3 {
+			id := store.FactID(2 * i)
+			old := s.MustSetValue(store.Position{Fact: id, Arg: 1}, logic.C("nowhere"))
+			tr.Update(id)
+			check(fmt.Sprintf("break %d", i))
+			s.MustSetValue(store.Position{Fact: id, Arg: 1}, old)
+			tr.Update(id)
+			check(fmt.Sprintf("restore %d", i))
+		}
+		if tr.Len() != 40 {
+			t.Fatalf("%s: after churn conflicts = %d, want 40", seed, tr.Len())
+		}
 	}
 }
 

@@ -160,13 +160,18 @@ func (kb *KB) AllConflicts() ([]*conflict.Conflict, *chase.Result, error) {
 	return conflict.All(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }
 
-// AllConflictsUnder is AllConflicts with the scan's trace span parented
-// under the given trace span id — the causal hook the inquiry engine uses
-// to attribute detection time to the question that triggered it.
-func (kb *KB) AllConflictsUnder(parent uint64) ([]*conflict.Conflict, *chase.Result, error) {
+// AllConflictsUnder returns the conflicts AllConflicts returns, with the
+// scan's trace span parented under the given trace span id — the causal
+// hook the inquiry engine uses to attribute detection time to the question
+// that triggered it. It keeps no chase result: the scan chases kb.Facts in
+// place and truncates it back on every exit (conflict.AllInPlace), so,
+// like IsConsistentUnder, it writes the store, and the caller holds the KB
+// exclusively for the call. A non-direct conflict's Facts name derived
+// facts that are gone when it returns; its BaseFacts are base ids.
+func (kb *KB) AllConflictsUnder(parent uint64) ([]*conflict.Conflict, error) {
 	opts := kb.ChaseOpts
 	opts.TraceParent = parent
-	return conflict.All(kb.Facts, kb.TGDs, kb.CDDs, opts)
+	return conflict.AllInPlace(kb.Facts, kb.TGDs, kb.CDDs, opts)
 }
 
 // NaiveConflicts computes allconflicts_naive(K) on the base facts only.

@@ -105,7 +105,8 @@ func currentConflicts(kb *core.KB, removed map[store.FactID]bool) ([]*conflict.C
 		}
 		back[nid] = id
 	}
-	cs, _, err := conflict.All(sub, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	// sub is private to this call, so the scan chases it in place.
+	cs, err := conflict.AllInPlace(sub, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -384,15 +384,18 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	defer endRoot()
 
+	// One chase-level scan opens the run: its direct conflicts are the
+	// naive ones (see conflict.NewTrackerOf), so it seeds the phase-one
+	// tracker as well as counting allconflicts(K).
 	initSp := rootSp.Child("inquiry.init")
-	tracker := conflict.NewTrackerUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs)
-	res.InitialNaive = tracker.Len()
-	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
-		res.InitialTotal = len(initial)
-	} else {
+	initial, err := e.KB.AllConflictsUnder(initSp.ID())
+	if err != nil {
 		initSp.End()
 		return nil, err
 	}
+	tracker := conflict.NewTrackerOf(e.KB.Facts, e.KB.CDDs, initial)
+	res.InitialNaive = tracker.Len()
+	res.InitialTotal = len(initial)
 	if initSp.Live() {
 		initSp.End(obs.Int("naive", res.InitialNaive), obs.Int("total", res.InitialTotal))
 	}
@@ -400,7 +403,7 @@ func (e *Engine) Run() (*Result, error) {
 
 	record := func(rd Round, f core.Fix, parent uint64) error {
 		if e.Opts.TrackConflictSeries {
-			cs, _, err := e.KB.AllConflictsUnder(parent)
+			cs, err := e.KB.AllConflictsUnder(parent)
 			if err != nil {
 				return err
 			}
@@ -448,7 +451,7 @@ func (e *Engine) Run() (*Result, error) {
 	// the end of one iteration and the top of the next, so reusing it both
 	// saves a full chase+scan per question and attributes every scan to the
 	// question that made it necessary.
-	cs, _, err := e.KB.AllConflictsUnder(rootSp.ID())
+	cs, err := e.KB.AllConflictsUnder(rootSp.ID())
 	if err != nil {
 		return res, err
 	}
@@ -463,7 +466,7 @@ func (e *Engine) Run() (*Result, error) {
 			qsp.End()
 			return res, err
 		}
-		after, _, err := e.KB.AllConflictsUnder(qsp.ID())
+		after, err := e.KB.AllConflictsUnder(qsp.ID())
 		if err != nil {
 			qsp.End()
 			return res, err
@@ -525,26 +528,24 @@ func (e *Engine) RunBasic() (*Result, error) {
 	}
 	defer endRoot()
 
+	// One chase-level scan opens the run; its direct conflicts are the
+	// naive ones (see conflict.NewTrackerOf), and it is the first
+	// iteration's conflict set.
 	initSp := rootSp.Child("inquiry.init")
-	res.InitialNaive = len(conflict.AllNaiveUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs))
-	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
-		res.InitialTotal = len(initial)
-	} else {
+	cs, err := e.KB.AllConflictsUnder(initSp.ID())
+	if err != nil {
 		initSp.End()
 		return nil, err
 	}
+	res.InitialNaive = len(conflict.Direct(cs))
+	res.InitialTotal = len(cs)
 	if initSp.Live() {
 		initSp.End(obs.Int("naive", res.InitialNaive), obs.Int("total", res.InitialTotal))
 	}
 	sessionStart(res.Strategy, e.KB.Facts.Len(), res.InitialNaive, res.InitialTotal)
 
 	// As in Run's phase two, each iteration ends with the re-scan the next
-	// iteration needs, attributed to the question just answered; only the
-	// first scan hangs directly under the root.
-	cs, _, err := e.KB.AllConflictsUnder(rootSp.ID())
-	if err != nil {
-		return res, err
-	}
+	// iteration needs, attributed to the question just answered.
 	for len(cs) > 0 {
 		statusRound(1, len(cs), len(res.Rounds))
 		qsp := rootSp.Child("inquiry.question")
@@ -564,7 +565,7 @@ func (e *Engine) RunBasic() (*Result, error) {
 			qsp.End()
 			return res, fmt.Errorf("inquiry: exceeded %d questions", e.maxQuestions())
 		}
-		after, _, err := e.KB.AllConflictsUnder(qsp.ID())
+		after, err := e.KB.AllConflictsUnder(qsp.ID())
 		if err != nil {
 			qsp.End()
 			return res, err

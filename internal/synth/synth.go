@@ -197,24 +197,28 @@ func Generate(params Params) (*Generated, error) {
 	return &Generated{KB: kb, Info: info}, nil
 }
 
-// describe computes the paper's KB-structure indicators for any KB.
+// describe computes the paper's KB-structure indicators for any KB. It
+// chases kb.Facts in place and truncates it back, so it writes the store:
+// the caller holds the KB exclusively for the call.
 func describe(kb *core.KB) (Info, error) {
-	naive := conflict.AllNaive(kb.Facts, kb.CDDs)
-	all, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	all, err := conflict.AllInPlace(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 	if err != nil {
 		return Info{}, err
 	}
-	// ChaseSize reports the full materialization Cl_ΣT(F) (conflict.All
-	// chases only the CDD-relevant rules).
-	full, err := chase.Run(kb.Facts, kb.TGDs, kb.ChaseOpts)
+	// ChaseSize reports the full materialization Cl_ΣT(F) (the conflict
+	// scan chases only the CDD-relevant rules).
+	n := kb.Facts.Len()
+	_, err = chase.RunInPlace(kb.Facts, kb.TGDs, kb.ChaseOpts)
+	chaseSize := kb.Facts.Len()
+	kb.Facts.Truncate(n)
 	if err != nil {
 		return Info{}, err
 	}
 	cs := conflict.ComputeStats(all)
 	info := Info{
 		Facts:               kb.Facts.Len(),
-		ChaseSize:           full.Store.Len(),
-		NaiveConflicts:      len(naive),
+		ChaseSize:           chaseSize,
+		NaiveConflicts:      len(conflict.Direct(all)),
 		TotalConflicts:      len(all),
 		AtomsInConflicts:    cs.AtomsInConflicts,
 		AvgAtomsPerConflict: cs.AvgAtomsPerConflict,

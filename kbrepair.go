@@ -239,7 +239,9 @@ func BuildDurumWheat(version int) (*KB, SynthInfo, error) {
 }
 
 // DescribeKB computes the structural indicators the paper reports for a KB
-// (conflicts, inconsistency ratio, overlap structure, chase size).
+// (conflicts, inconsistency ratio, overlap structure, chase size). It chases
+// the KB's facts in place and truncates them back, so, like any KB
+// mutation, it needs the KB to itself for the call.
 func DescribeKB(kb *KB) (SynthInfo, error) { return synth.Describe(kb) }
 
 // IsWeaklyAcyclic checks chase termination for a TGD set.
