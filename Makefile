@@ -143,11 +143,9 @@ fuzz-smoke:
 # the applied fixes form a c-fix, and each traced repair equals its
 # untraced twin. A change that breaks a workload fails here, not first in
 # a benchmark run.
-PERFBENCH_WORKLOADS ?= cdd-large durum-random tgd-interactive
-
 perfbench-smoke:
 	cd perfbench && $(GO) test .
-	for w in $(PERFBENCH_WORKLOADS); do \
+	for w in cdd-large durum-random tgd-interactive; do \
 		bash perfbench/run.sh --workload $$w --seconds 2 --trace 1 || exit 1; \
 	done
 

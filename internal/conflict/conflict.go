@@ -195,6 +195,26 @@ func dedupIDs(ids []store.FactID) []store.FactID {
 	return out
 }
 
+// bodyPlans resolves every CDD's body plan, compiling those not compiled
+// before against stats. Scans call it before their fan-out: a first compile
+// binds the join order from store statistics, and binding must happen at
+// this sequential point, not under whichever worker misses the cache first.
+func bodyPlans(stats *store.Store, cdds []*logic.CDD) []*homo.Plan {
+	plans := make([]*homo.Plan, len(cdds))
+	for i, c := range cdds {
+		plans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
+			homo.CompileOpts{Stats: stats})
+	}
+	return plans
+}
+
+// PrecompileBodies binds the body plans of the CDDs not compiled before
+// against base's statistics, as a naive scan of base would. A chase-level
+// scan binds them only after its chase, against the chased store, so a
+// caller whose first scan is AllInPlace and whose later sessions expect
+// plans bound against the base facts calls this first.
+func PrecompileBodies(base *store.Store, cdds []*logic.CDD) { bodyPlans(base, cdds) }
+
 // AllNaive computes allconflicts_naive(K): every homomorphism from every
 // CDD body into the base store, deduplicated by (CDD, homomorphism).
 //
@@ -220,14 +240,7 @@ func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Confl
 		sp = obs.StartSpanUnder(parent, "conflict.scan",
 			obs.Int("cdds", len(cdds)), obs.Bool("naive", true))
 	}
-	// Resolve every CDD's plan before the fan-out: first compiles bind the
-	// join order from store statistics, and binding must happen at this
-	// sequential point, not under whichever worker misses the cache first.
-	plans := make([]*homo.Plan, len(cdds))
-	for i, c := range cdds {
-		plans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: base})
-	}
+	plans := bodyPlans(base, cdds)
 	perCDD := par.MapNamed("conflict.scan", len(cdds), func(i int) []*Conflict {
 		return scanCDD(base, plans[i], cdds[i], i, nil)
 	})
@@ -330,11 +343,7 @@ func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Optio
 	// chased store, merged in CDD-index order. Concurrent tasks share the
 	// chase result's memoized base-support cache, which is goroutine-safe.
 	// Plans resolve sequentially first so order binding never races.
-	plans := make([]*homo.Plan, len(cdds))
-	for i, c := range cdds {
-		plans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: res.Store})
-	}
+	plans := bodyPlans(res.Store, cdds)
 	perCDD := par.MapNamed("conflict.scan", len(cdds), func(i int) []*Conflict {
 		return scanCDD(res.Store, plans[i], cdds[i], i, res)
 	})

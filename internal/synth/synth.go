@@ -201,6 +201,11 @@ func Generate(params Params) (*Generated, error) {
 // chases kb.Facts in place and truncates it back, so it writes the store:
 // the caller holds the KB exclusively for the call.
 func describe(kb *core.KB) (Info, error) {
+	// The KB outlives this call (repair sessions run on it), and the CDD
+	// body plans it caches are shared with the ⊥-rules and the tracker:
+	// bind them against the base facts before the scan's chase grows the
+	// store.
+	conflict.PrecompileBodies(kb.Facts, kb.CDDs)
 	all, err := conflict.AllInPlace(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 	if err != nil {
 		return Info{}, err

@@ -1,10 +1,13 @@
 package synth
 
 import (
+	"slices"
 	"testing"
 
 	"kbrepair/internal/conflict"
+	"kbrepair/internal/homo"
 	"kbrepair/internal/inquiry"
+	"kbrepair/internal/store"
 )
 
 func TestGenerateDefaults(t *testing.T) {
@@ -114,6 +117,43 @@ func TestGenerateWithTGDs(t *testing.T) {
 	if g.Info.TotalConflicts <= g.Info.NaiveConflicts {
 		t.Errorf("no chase-only conflicts: total=%d naive=%d",
 			g.Info.TotalConflicts, g.Info.NaiveConflicts)
+	}
+}
+
+// TestGenerateBindsBodyPlansToBaseFacts checks that the CDD body plans a
+// generated KB caches are bound against its base facts, not against the
+// chased store of the indicator scan: they enumerate the base facts exactly
+// as a fresh compile against kb.Facts does.
+func TestGenerateBindsBodyPlansToBaseFacts(t *testing.T) {
+	for _, p := range []Params{
+		{Seed: 11, NumFacts: 150, InconsistencyRatio: 0.2, NumCDDs: 8, NumTGDs: 10, Depth: 2},
+		{Seed: 3, NumFacts: 800, InconsistencyRatio: 0.3, NumCDDs: 50, NumTGDs: 25, Depth: 3},
+	} {
+		g, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb := g.KB
+		matches := func(pl *homo.Plan) [][]store.FactID {
+			var out [][]store.FactID
+			pl.ForEach(kb.Facts, func(m homo.Match) bool {
+				out = append(out, slices.Clone(m.Facts))
+				return true
+			})
+			return out
+		}
+		for i, c := range kb.CDDs {
+			opts := homo.CompileOpts{Stats: kb.Facts}
+			cached := homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body, opts)
+			fresh := homo.CompileWith(c.Body, opts)
+			if cached.Mode() != fresh.Mode() {
+				t.Fatalf("seed %d cdd %d: cached mode %v, base-bound mode %v", p.Seed, i, cached.Mode(), fresh.Mode())
+			}
+			if got, want := matches(cached), matches(fresh); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("seed %d cdd %d %v: cached plan enumerates the base facts' %d matches unlike a base-bound plan",
+					p.Seed, i, c, len(want))
+			}
+		}
 	}
 }
 
