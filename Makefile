@@ -5,7 +5,7 @@ GO ?= go
 BENCH_ARGS ?= -exp fig3 -scale 0.25 -reps 3 -seed 1
 BENCH_THRESHOLD ?= 1.25
 
-.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke ci
+.PHONY: build test fmt-check verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ TEST_BUNDLE_DIR ?= test-failure-bundles
 test:
 	rm -rf $(TEST_BUNDLE_DIR)
 	KBREPAIR_TEST_BUNDLE=$(abspath $(TEST_BUNDLE_DIR)) $(GO) test ./...
+
+# fmt-check fails, listing the files, when any Go file in the repository
+# is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Tier-1 verify: the gate every change must pass.
 verify: build test
@@ -151,4 +156,4 @@ perfbench-smoke:
 
 # ci is the whole gate in one target, mirroring .github/workflows/ci.yml
 # for environments without Actions.
-ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke
+ci: fmt-check verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke fuzz-smoke perfbench-smoke

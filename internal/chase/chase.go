@@ -348,21 +348,72 @@ func RunInPlace(s *store.Store, tgds []*logic.TGD, opts Options) (*Result, error
 // run chases base in place under tgds, compiled for this call (see
 // runRules).
 func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
-	return runRules(base, compileRules(tgds, nil, base), 0, opts, abortPred)
+	return runRules(base, compileRules(tgds, nil, base), delta{}, opts, abortPred)
+}
+
+// delta is the set of facts every trigger of a chase round must use: the
+// facts with id ≥ lo, or, when ids is non-nil, the facts listed in ids
+// (ascending; the rewritten facts a ContinueFrom starts from), grouped by
+// predicate in byPred.
+type delta struct {
+	lo     store.FactID
+	ids    []store.FactID
+	byPred map[string][]store.FactID
+}
+
+// listDelta is the delta of the sorted fact ids.
+func listDelta(s *store.Store, ids []store.FactID) delta {
+	if ids == nil {
+		ids = []store.FactID{} // an empty list, not a tail
+	}
+	d := delta{ids: ids, byPred: make(map[string][]store.FactID)}
+	for _, id := range ids {
+		p := s.FactRef(id).Pred
+		d.byPred[p] = append(d.byPred[p], id)
+	}
+	return d
+}
+
+// size returns the number of facts of s in the delta.
+func (d delta) size(s *store.Store) int {
+	if d.ids != nil {
+		return len(d.ids)
+	}
+	return max(s.Len()-int(d.lo), 0)
+}
+
+// has reports whether the fact id is in the delta.
+func (d delta) has(id store.FactID) bool {
+	if d.ids != nil {
+		_, ok := slices.BinarySearch(d.ids, id)
+		return ok
+	}
+	return id >= d.lo
+}
+
+// ofPred returns the delta facts with predicate pred, in id order.
+func (d delta) ofPred(s *store.Store, pred string) []store.FactID {
+	if d.ids != nil {
+		return d.byPred[pred]
+	}
+	// A predicate's list only grows by appends and shrinks by Truncate,
+	// so it is in id order and its delta facts are a suffix.
+	ids := s.CandidatesByPred(pred)
+	return ids[sort.Search(len(ids), func(k int) bool { return ids[k] >= d.lo }):]
 }
 
 // runRules is the shared, instrumented engine; it extends s in place
-// (chaseLoop), starting from the facts with id ≥ from. If abortPred is
-// non-empty, the chase stops as soon as a fact with that predicate is
-// derived (used by the ⊥ optimization).
-func runRules(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abortPred string) (*Result, error) {
+// (chaseLoop), starting from the delta d. If abortPred is non-empty, the
+// chase stops as soon as a fact with that predicate is derived (used by
+// the ⊥ optimization).
+func runRules(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred string) (*Result, error) {
 	mRuns.Inc()
 	tm := obs.StartTimer()
 	defer mRunTime.Since(tm)
 	if obs.Tracing() && !opts.TraceQuiet {
 		sp := obs.StartSpanUnder(opts.TraceParent, "chase.run",
 			obs.Int("base_facts", s.Len()), obs.Int("tgds", len(rs.rules)))
-		res, err := chaseLoop(s, rs, from, opts, abortPred, sp)
+		res, err := chaseLoop(s, rs, d, opts, abortPred, sp)
 		if res != nil {
 			sp.End(obs.Int("rounds", res.Rounds), obs.Int("derived", len(res.Prov)))
 		} else {
@@ -370,7 +421,7 @@ func runRules(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abor
 		}
 		return res, err
 	}
-	return chaseLoop(s, rs, from, opts, abortPred, obs.Span{})
+	return chaseLoop(s, rs, d, opts, abortPred, obs.Span{})
 }
 
 // chaseLoop is the saturation engine. It extends the store it is handed:
@@ -379,14 +430,15 @@ func runRules(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abor
 // store back truncates it (IsConsistentOpt, Checker, the in-place conflict
 // scan), and one that keeps the result hands in a clone (Run).
 //
-// The first round's delta is every fact with id ≥ from, and each later
-// round's delta is what the round before derived. Both are a tail of the
-// store, because derivations are appended, so a delta is just its lowest
-// id. A run from 0 starts with a full round that enumerates every body
-// homomorphism; every other round — round ≥ 2 of any run, and every round
-// of a continuation from a saturated store — is a delta round, whose
-// triggers are the homomorphisms that use a delta fact (collectDelta).
-// Facts below the delta were saturated before, so no other trigger can be
+// The first round's delta is d, and each later round's delta is what the
+// round before derived: a tail of the store, because derivations are
+// appended, so a delta is just its lowest id. A run from 0 starts with a
+// full round that enumerates every body homomorphism; every other round —
+// round ≥ 2 of any run, and every round of a continuation from a saturated
+// store, whose first delta is a tail (ConsistentWith) or a list of
+// rewritten facts (ContinueFrom) — is a delta round, whose triggers are
+// the homomorphisms that use a delta fact (collectDelta). Triggers that
+// use no delta fact were satisfied before, so no other trigger can be
 // new. Each round has three phases:
 //
 //  1. Trigger collection — read-only homomorphism searches per TGD against
@@ -422,7 +474,7 @@ func runRules(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abor
 // are opened and closed on this goroutine only — the collection workers
 // never touch the tracer — which keeps the trace byte-identical across
 // worker counts.
-func chaseLoop(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abortPred string, sp obs.Span) (*Result, error) {
+func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
 		Store:   s,
 		BaseLen: s.Len(),
@@ -437,11 +489,11 @@ func chaseLoop(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abo
 	defer gRound.Set(0)
 	budget := opts.maxDerived()
 
-	for lo := from; int(lo) < s.Len(); {
+	for d.size(s) > 0 {
 		res.Rounds++
 		mRounds.Inc()
 		gRound.Set(int64(res.Rounds))
-		flight.Record(flight.KindChaseRoundStart, int64(res.Rounds), int64(s.Len()-int(lo)), 0, 0)
+		flight.Record(flight.KindChaseRoundStart, int64(res.Rounds), int64(d.size(s)), 0, 0)
 		flight.ObserveChaseRound(res.Rounds, opts.maxRounds())
 		rsp := sp.Child("chase.round")
 		if res.Rounds > opts.maxRounds() {
@@ -451,7 +503,7 @@ func chaseLoop(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abo
 			rsp.End()
 			return res, fmt.Errorf("%w: more than %d rounds", ErrBudget, opts.maxRounds())
 		}
-		perRule := rs.collect(s, lo)
+		perRule := rs.collect(s, d)
 		// Every trigger of round ≥ 2 involves a fact derived the round
 		// before: it was deferred across the round-start snapshot boundary.
 		var deferred int64
@@ -462,7 +514,7 @@ func chaseLoop(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abo
 			mDeferred.Add(deferred)
 		}
 		// The next round's delta starts after this round's snapshot.
-		lo = store.FactID(s.Len())
+		d = delta{lo: store.FactID(s.Len())}
 		// Phase 2 — speculative firing against the round-start snapshot,
 		// fanned out over the worker pool in flattened (rule, trigger)
 		// order. Attribution IDs are resolved up front (the resolve may
@@ -560,21 +612,21 @@ func chaseLoop(s *store.Store, rs *ruleSet, from store.FactID, opts Options, abo
 
 // collect gathers every rule's triggers against the round-start snapshot,
 // one read-only task per rule over the worker pool, merged in rule order.
-// From 0 it is a full round: every body homomorphism is a trigger.
-// Otherwise the triggers are the homomorphisms that use a delta fact (id ≥
-// lo), and only rules with a body predicate among the delta's are searched.
-func (rs *ruleSet) collect(s *store.Store, lo store.FactID) [][]homo.Match {
-	if lo == 0 {
+// A tail delta from 0 is a full round: every body homomorphism is a
+// trigger. Otherwise the triggers are the homomorphisms that use a delta
+// fact, and only rules with a body predicate among the delta's are
+// searched.
+func (rs *ruleSet) collect(s *store.Store, d delta) [][]homo.Match {
+	if d.ids == nil && d.lo == 0 {
 		return par.MapNamed("chase.collect", len(rs.rules), func(i int) []homo.Match {
 			return collectAll(s, rs.rules[i].body)
 		})
 	}
 	preds := make(map[string]bool)
 	var cand []int
-	for id := lo; int(id) < s.Len(); id++ {
-		p := s.FactRef(id).Pred
+	addPred := func(p string) {
 		if preds[p] {
-			continue
+			return
 		}
 		preds[p] = true
 		for _, ri := range rs.byPred[p] {
@@ -583,9 +635,18 @@ func (rs *ruleSet) collect(s *store.Store, lo store.FactID) [][]homo.Match {
 			}
 		}
 	}
+	if d.ids != nil {
+		for _, id := range d.ids {
+			addPred(s.FactRef(id).Pred)
+		}
+	} else {
+		for id := d.lo; int(id) < s.Len(); id++ {
+			addPred(s.FactRef(id).Pred)
+		}
+	}
 	slices.Sort(cand)
 	found := par.MapNamed("chase.collect", len(cand), func(k int) []homo.Match {
-		return collectDelta(s, rs.rules[cand[k]], lo)
+		return collectDelta(s, rs.rules[cand[k]], d)
 	})
 	perRule := make([][]homo.Match, len(rs.rules))
 	for k, ri := range cand {
@@ -606,40 +667,36 @@ func collectAll(s *store.Store, body *homo.Plan) []homo.Match {
 }
 
 // collectDelta gathers the body homomorphisms of a rule that map at least
-// one body atom onto a delta fact (id ≥ lo) by pinned delta collection:
-// each body atom is pinned onto each delta fact of its predicate (bound by
+// one body atom onto a fact of the delta by pinned delta collection: each
+// body atom is pinned onto each delta fact of its predicate (bound by
 // homo.BindAtom) and the rest of the body is searched with the pinned plan.
 // A homomorphism with several body atoms on delta facts is found once per
 // such atom; it is kept only under the lowest, so each trigger is collected
 // once. The work is proportional to what the delta can join with, not to
 // the rule's matches over the whole store. It only reads the store, so the
 // per-rule calls of one round may run concurrently.
-func collectDelta(s *store.Store, r *rule, lo store.FactID) []homo.Match {
+func collectDelta(s *store.Store, r *rule, d delta) []homo.Match {
 	var out []homo.Match
 	for ai, ba := range r.tgd.Body {
-		// A predicate's list only grows by appends and shrinks by Truncate,
-		// so it is in id order and its delta facts are a suffix.
-		ids := s.CandidatesByPred(ba.Pred)
-		ids = ids[sort.Search(len(ids), func(k int) bool { return ids[k] >= lo }):]
-		for _, d := range ids {
-			seed, ok := homo.BindAtom(ba, s.FactRef(d))
+		for _, id := range d.ofPred(s, ba.Pred) {
+			seed, ok := homo.BindAtom(ba, s.FactRef(id))
 			if !ok {
 				continue
 			}
 			if r.pinned[ai] == nil {
-				out = append(out, homo.Match{Subst: seed, Facts: []store.FactID{d}})
+				out = append(out, homo.Match{Subst: seed, Facts: []store.FactID{id}})
 				continue
 			}
 			r.pinned[ai].ForEachSeeded(s, seed, func(m homo.Match) bool {
 				// The pinned plan's atoms are the body's without atom ai,
 				// in body order, so m.Facts[:ai] are body atoms 0..ai-1.
 				for _, f := range m.Facts[:ai] {
-					if f >= lo {
+					if d.has(f) {
 						return true
 					}
 				}
 				facts := make([]store.FactID, 0, len(r.tgd.Body))
-				facts = append(append(append(facts, m.Facts[:ai]...), d), m.Facts[ai:]...)
+				facts = append(append(append(facts, m.Facts[:ai]...), id), m.Facts[ai:]...)
 				out = append(out, homo.Match{Subst: m.Subst.Clone(), Facts: facts})
 				return true
 			})
@@ -796,9 +853,11 @@ func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, op
 // bodies, for the check that needs no chase, and the chase table of the
 // TGDs relevant to the CDDs followed by the CDDs' ⊥-rules. Besides the
 // one-shot check it offers saturate-then-continue checking: Saturate chases
-// a store once, and ConsistentWith decides a store extended by one fact by
-// chasing on from that fact only. Immutable, so concurrent checks on
-// distinct stores may share it.
+// a store once, ConsistentWith decides a store extended by one fact by
+// chasing on from that fact only, and ContinueFrom brings a saturated store
+// whose facts were rewritten in place back to fixpoint by chasing on from
+// the rewritten facts. Immutable, so concurrent checks on distinct stores
+// may share it.
 type Checker struct {
 	// rules is the relevant TGDs — the first tgds rules — followed by the
 	// CDDs' ⊥-rules, whose body plans are the CDD bodies.
@@ -867,13 +926,13 @@ func (c *Checker) Consistent(s *store.Store, opts Options) (bool, error) {
 		return true, nil
 	}
 	defer s.Truncate(s.Len())
-	return c.chase(s, 0, opts)
+	return c.chase(s, delta{}, opts)
 }
 
-// chase runs the ⊥-aborting chase on s from fact id from and reports
+// chase runs the ⊥-aborting chase on s from the delta d and reports
 // whether it ended without deriving ⊥.
-func (c *Checker) chase(s *store.Store, from store.FactID, opts Options) (bool, error) {
-	res, err := runRules(s, c.rules, from, opts, BottomPred)
+func (c *Checker) chase(s *store.Store, d delta, opts Options) (bool, error) {
+	res, err := runRules(s, c.rules, d, opts, BottomPred)
 	if err != nil {
 		return false, err
 	}
@@ -885,8 +944,9 @@ func (c *Checker) chase(s *store.Store, from store.FactID, opts Options) (bool, 
 // relevant TGDs and ⊥-rules, ready for ConsistentWith; when it is not, the
 // chase stopped at the first ⊥ (or never ran, for a CDD violated by s
 // itself). On an error s is truncated back to its facts before the call.
-// Like Consistent it is a writer, and the caller truncates the saturation
-// away before modifying any fact of s in place.
+// Like Consistent it is a writer. A caller that modifies facts of s in
+// place afterwards either truncates the saturation away or keeps it up to
+// date with ContinueFrom.
 func (c *Checker) Saturate(s *store.Store, opts Options) (bool, error) {
 	if c.violatedAsIs(s) {
 		return false, nil
@@ -896,7 +956,35 @@ func (c *Checker) Saturate(s *store.Store, opts Options) (bool, error) {
 		return true, nil
 	}
 	n := s.Len()
-	ok, err := c.chase(s, 0, opts)
+	ok, err := c.chase(s, delta{}, opts)
+	if err != nil {
+		s.Truncate(n)
+	}
+	return ok, err
+}
+
+// ContinueFrom chases s in place from the listed facts, keeping what it
+// derives, and reports whether it ended without deriving ⊥. ids must be
+// ascending fact ids of s, and every trigger of s that uses none of them
+// must be satisfied in s, with no ⊥ among its facts: s is a consistent
+// saturation whose listed facts were rewritten in place. The first round
+// collects only the triggers with a body atom on a listed fact, each kept
+// under its lowest such atom, by pinned collection; later rounds are
+// delta rounds, so s ends at fixpoint or at the first ⊥ as Saturate's
+// chase would. No fact is copied: the listed facts keep their ids. Without
+// a relevant TGD the round is the ⊥-rules pinned at each listed fact
+// (ViolatedAt) and nothing is derived. On an error s is truncated back to
+// its length before the call, which leaves it short of fixpoint. Like
+// Saturate it is a writer.
+func (c *Checker) ContinueFrom(s *store.Store, ids []store.FactID, opts Options) (bool, error) {
+	if c.tgds == 0 {
+		return !slices.ContainsFunc(ids, func(id store.FactID) bool { return c.ViolatedAt(s, id) }), nil
+	}
+	if len(ids) == 0 {
+		return true, nil
+	}
+	n := s.Len()
+	ok, err := c.chase(s, listDelta(s, ids), opts)
 	if err != nil {
 		s.Truncate(n)
 	}
@@ -921,7 +1009,7 @@ func (c *Checker) ConsistentWith(s *store.Store, a logic.Atom, opts Options) (bo
 		// The continuation's only round: the ⊥-rules pinned at a.
 		return !c.ViolatedAt(s, id), nil
 	}
-	return c.chase(s, id, opts)
+	return c.chase(s, delta{lo: id}, opts)
 }
 
 // Answers computes the certain answers of a conjunctive query (body with

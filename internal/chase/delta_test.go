@@ -39,13 +39,14 @@ func randomDeltaRule(r *rand.Rand, consts []logic.Term) *logic.TGD {
 // TestDeltaCollectionMatchesFilter pins pinned delta collection to its
 // definition: on random stores, rules and delta boundaries, collectDelta
 // finds exactly the body homomorphisms that map some atom onto a fact with
-// id ≥ lo — the set the enumerate-then-filter collection kept — each once.
-// Duplicate facts and updated values (index lists out of id order) are in
-// the mix.
+// id ≥ lo — the set the enumerate-then-filter collection kept — each once,
+// and for a delta listing random facts, exactly those that map some atom
+// onto a listed fact, each once. Duplicate facts and updated values (index
+// lists out of id order) are in the mix.
 func TestDeltaCollectionMatchesFilter(t *testing.T) {
 	consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c"), logic.N("n")}
 	key := func(m homo.Match) string { return fmt.Sprint(m.Facts, m.Subst.Key()) }
-	var found int
+	var found, listed int
 	for seed := int64(1); seed <= 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := store.New()
@@ -77,7 +78,7 @@ func TestDeltaCollectionMatchesFilter(t *testing.T) {
 			}
 		}
 		var got []string
-		for _, m := range collectDelta(s, rs.rules[0], lo) {
+		for _, m := range collectDelta(s, rs.rules[0], delta{lo: lo}) {
 			if len(m.Facts) != len(rs.rules[0].tgd.Body) {
 				t.Fatalf("seed %d: match %v does not cover the body %v", seed, m.Facts, rs.rules[0].tgd.Body)
 			}
@@ -89,8 +90,31 @@ func TestDeltaCollectionMatchesFilter(t *testing.T) {
 			t.Fatalf("seed %d: rule %s, delta from #%d:\n got %v\nwant %v\n%s", seed, rs.rules[0].tgd, lo, got, want, s)
 		}
 		found += len(got)
+		// The same for a delta listing random facts, as a continuation
+		// from rewritten facts has.
+		var ids []store.FactID
+		for id := range store.FactID(s.Len()) {
+			if r.Intn(3) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		want, got = want[:0], got[:0]
+		for _, m := range collectAll(s, rs.rules[0].body) {
+			if slices.ContainsFunc(m.Facts, func(f store.FactID) bool { return slices.Contains(ids, f) }) {
+				want = append(want, key(m))
+			}
+		}
+		for _, m := range collectDelta(s, rs.rules[0], listDelta(s, ids)) {
+			got = append(got, key(m))
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: rule %s, delta %v:\n got %v\nwant %v\n%s", seed, rs.rules[0].tgd, ids, got, want, s)
+		}
+		listed += len(got)
 	}
-	if found == 0 {
-		t.Fatal("table too weak: no delta trigger collected")
+	if found == 0 || listed == 0 {
+		t.Fatalf("table too weak: %d tail and %d list delta triggers collected", found, listed)
 	}
 }

@@ -55,7 +55,7 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 			if lo == 0 {
 				perRule[i] = collectAll(s, rs.rules[i].body)
 			} else {
-				perRule[i] = collectDelta(s, rs.rules[i], lo)
+				perRule[i] = collectDelta(s, rs.rules[i], delta{lo: lo})
 			}
 		}
 		lo = store.FactID(s.Len())

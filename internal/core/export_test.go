@@ -34,3 +34,20 @@ func (pc *PiChecker) Continues() bool {
 func (pc *PiChecker) SaturationViolated() bool {
 	return len(pc.slots) > 0 && pc.slots[0].saturated && pc.slots[0].violated
 }
+
+// Saturation returns slot 0's store — its first n facts the synced
+// instance I, then derived facts — and whether they are a saturation of I
+// and whether it holds ⊥.
+func (pc *PiChecker) Saturation() (s *store.Store, n int, saturated, violated bool) {
+	if len(pc.slots) == 0 || pc.slots[0].s == nil {
+		return nil, 0, false, false
+	}
+	in := pc.slots[0]
+	return in.s, in.n, in.saturated, in.violated
+}
+
+// Saturations returns how many syncs kept slot 0's saturation up to date
+// and how many saturations were chased from fact 0.
+func (pc *PiChecker) Saturations() (maintained, scratch int) {
+	return pc.maintained, pc.scratch
+}

@@ -99,15 +99,18 @@ func validPos(facts *store.Store, p Position) bool {
 
 // instance is a session-owned Algorithm 1 instance: nulledCopy(facts, pi)
 // kept up to date in place instead of rebuilt for every batch, optionally
-// followed by its saturation.
+// followed by the derived facts of its saturation, which syncs keep up to
+// date too where the homomorphism argument of DESIGN.md §3 allows.
 type instance struct {
 	s  *store.Store // nil until the slot is first used
 	pi Pi           // the Π whose positions hold their values from F in s
 	// n is the number of facts of F the instance holds: s's first n facts
-	// are the nulled copy, and any facts after them are its saturation.
+	// are the nulled copy, and any facts after them are derived.
 	n int
-	// saturated reports that the facts after n are chase(I) under the
-	// checker's rules (Checker.Saturate); violated that it derived ⊥.
+	// saturated reports that s is a saturation of its first n facts I
+	// under the checker's rules: chase(I) (Checker.Saturate), or a store
+	// kept for it across syncs that contains I, is a model and maps into
+	// chase(I) fixing I's terms — or, with violated, that s holds ⊥.
 	saturated, violated bool
 }
 
@@ -116,28 +119,44 @@ type instance struct {
 // release) gets facts.NullForPos back. Changed positions are written in
 // position order, so a session's index lists — and with them search order
 // and node counts — do not depend on map iteration. The first use, or a
-// fact store that gained facts, builds the instance with nulledCopy. A
-// saturation survives a sync that changes nothing; otherwise it is
-// truncated away before any position is written. sync returns the
-// positions it wrote, or rebuilt when it built the instance.
+// fact store that gained facts, builds the instance with nulledCopy,
+// without a saturation.
 //
-// The result equals nulledCopy(facts, pi) up to a renaming of nulls, which
-// Algorithm 1's verdict does not see. Nulls at positions that stayed
-// outside Π keep the labels they were given, while NullForPos's escape may
-// drift as answers remove values from facts; they stay fresh because a
-// value enters facts only as an answer — either one already in facts or
-// the answered position's own fresh null, which moves that position into
-// Π — and labels of distinct positions never meet.
-func (in *instance) sync(facts *store.Store, pi Pi) (changed []Position, rebuilt bool) {
+// A saturation survives a sync that changes nothing, and one that only
+// moves positions into Π: each such position p trades its own null n_p for
+// its value v_p in F, and sync applies h = {n_p ↦ v_p} to every fact that
+// holds n_p, derived ones included. When the rules have no relevant TGD
+// (tgds false), a clean saturation survives any sync, and the instance has
+// no derived facts to rewrite. Otherwise — a release or a changed Π value
+// under a relevant TGD or on a violated instance, or a v_p that is a null
+// occurring among the derived facts, which h would conflate with an
+// invented one — the saturation is truncated away before any position is
+// written. sync returns the ids of the facts it rewrote, ascending, for
+// the caller to continue a surviving saturation from (Checker.ContinueFrom).
+//
+// The result's first n facts equal nulledCopy(facts, pi) up to a renaming
+// of nulls, which Algorithm 1's verdict does not see. Nulls at positions
+// that stayed outside Π keep the labels they were given, while
+// NullForPos's escape may drift as answers remove values from facts; they
+// stay fresh because a value enters facts only as an answer — either one
+// already in facts or the answered position's own fresh null, which moves
+// that position into Π — and labels of distinct positions never meet.
+func (in *instance) sync(facts *store.Store, pi Pi, tgds bool) []store.FactID {
 	if in.s == nil || in.n != facts.Len() {
 		in.s, in.pi, in.n, in.saturated = nulledCopy(facts, pi), pi.Clone(), facts.Len(), false
-		return nil, true
+		return nil
 	}
+	// keep reports whether the saturation survives; a change that is no
+	// h-image keeps it only on a clean instance without a relevant TGD.
+	keep := in.saturated
+	notImage := func() { keep = keep && !tgds && !in.violated }
+	var changed []Position
 	for p := range in.pi {
 		if !pi.Has(p) {
 			delete(in.pi, p)
 			if validPos(facts, p) {
 				changed = append(changed, p)
+				notImage()
 			}
 		}
 	}
@@ -145,31 +164,96 @@ func (in *instance) sync(facts *store.Store, pi Pi) (changed []Position, rebuilt
 		if !validPos(facts, p) {
 			continue
 		}
-		in.pi[p] = true
-		if in.s.Value(p) != facts.Value(p) {
+		if v := facts.Value(p); in.s.Value(p) != v {
 			changed = append(changed, p)
+			if in.pi.Has(p) {
+				notImage()
+			} else if keep && v.IsNull() && in.derivedHolds(v) {
+				keep = false
+			}
 		}
+		in.pi[p] = true
 	}
 	if len(changed) == 0 {
-		return nil, false
+		return nil
 	}
-	in.desaturate()
+	if !keep {
+		in.desaturate()
+	}
 	slices.SortFunc(changed, func(a, b Position) int {
 		return cmp.Or(cmp.Compare(a.Fact, b.Fact), cmp.Compare(a.Arg, b.Arg))
 	})
+	var ids []store.FactID
+	var h []rewrite // the n_p that derived facts hold
+	left := 0       // their occurrences among the derived facts
 	for _, p := range changed {
-		if in.pi.Has(p) {
-			in.s.MustSetValue(p, facts.Value(p))
-		} else {
-			in.s.MustSetValue(p, facts.NullForPos(p))
+		v := facts.Value(p)
+		if !in.pi.Has(p) {
+			v = facts.NullForPos(p)
+		}
+		n := in.s.MustSetValue(p, v)
+		if len(ids) == 0 || ids[len(ids)-1] != p.Fact {
+			ids = append(ids, p.Fact)
+		}
+		if in.s.Len() > in.n {
+			if k := in.s.OccurrenceCount(n); k > 0 {
+				h = append(h, rewrite{n, v})
+				left += k
+			}
 		}
 	}
-	return changed, false
+	return in.rewriteDerived(h, left, ids)
+}
+
+// rewrite is one pair n_p ↦ v_p of a sync's homomorphism h.
+type rewrite struct{ from, to logic.Term }
+
+// rewriteDerived applies h to the derived facts, which hold its nulls left
+// times in all, and appends the ids of the facts it rewrote to ids. The
+// scan stops at the last occurrence.
+func (in *instance) rewriteDerived(h []rewrite, left int, ids []store.FactID) []store.FactID {
+	for id := store.FactID(in.n); left > 0 && int(id) < in.s.Len(); id++ {
+		hit := false
+		for i := range in.s.Arity(id) {
+			q := Position{Fact: id, Arg: i}
+			t := in.s.Value(q)
+			if !t.IsNull() {
+				continue
+			}
+			for _, r := range h {
+				if r.from == t {
+					in.s.MustSetValue(q, r.to)
+					hit = true
+					left--
+					break
+				}
+			}
+		}
+		if hit {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// derivedHolds reports whether a fact after the instance's first n holds t.
+func (in *instance) derivedHolds(t logic.Term) bool {
+	if !in.s.OccursAnywhere(t) {
+		return false
+	}
+	for id := store.FactID(in.n); int(id) < in.s.Len(); id++ {
+		if slices.Contains(in.s.FactRef(id).Args, t) {
+			return true
+		}
+	}
+	return false
 }
 
 // desaturate truncates the instance back to its nulled copy.
 func (in *instance) desaturate() {
-	in.s.Truncate(in.n)
+	if in.s != nil {
+		in.s.Truncate(in.n)
+	}
 	in.saturated = false
 }
 
@@ -190,10 +274,12 @@ func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
 // PiChecker performs the repeated Π-repairability checks of question
 // generation, with the Π-RepOpt fast path of §5. Create one per KB/session;
 // it caches the set of constants appearing in the rules and the compiled
-// consistency check, and it owns the session's Π-nulled instances: one per
-// worker slot of the full-check fan-out, built once and then synced to
-// (kb.Facts, Π) at the start of each batch that needs it, so a full check
-// costs what it derives, not a copy of the store.
+// consistency check, and it owns the session's Π-nulled instances, built
+// once and then synced to (kb.Facts, Π) at the start of each batch that
+// needs one, so a full check costs what it derives, not a copy of the
+// store. With the fast path on, slot 0's instance keeps its saturation
+// across syncs (see runFullChecks); the ablation uses one instance per
+// worker slot of its fan-out.
 type PiChecker struct {
 	kb        *KB
 	ruleConst map[logic.Term]bool
@@ -210,6 +296,10 @@ type PiChecker struct {
 	// chunk g's goroutine touches it during a batch; optimized batches use
 	// slot 0 alone.
 	slots []*instance
+	// maintained counts the syncs that changed slot 0's instance and kept
+	// its saturation, scratch the saturations chased from fact 0 (read by
+	// the tests through export_test.go).
+	maintained, scratch int
 	// cause is the attribution ID of the CDD whose conflict caused the
 	// current batch (attr.None when unknown). Atomic because checkChunk
 	// reads it from worker goroutines.
@@ -231,9 +321,10 @@ func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent.Store(id) }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
 // It also warms the plan cache for every rule body against the KB's base
-// store: the checker's full checks fan out across workers on per-slot
-// instances, and a first compile racing in a worker would bind join orders
-// to whichever instance won — warming here keeps orders deterministic.
+// store: with the fast path off (the ablation), full checks fan out across
+// workers on per-slot instances, and a first compile racing in a worker
+// would bind join orders to whichever instance won — warming here keeps
+// orders deterministic.
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
 	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true}
@@ -348,14 +439,17 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 // full; piVals is piValues(F, pi) when the fast path is on). With the fast
 // path on, they run inline on slot 0's instance I as continuations from
 // I's saturation (continued), which cost a few rounds each — a fan-out,
-// with an instance per worker to saturate, would cost more. Without a
-// relevant TGD, I is its own saturation and a sync only has to keep its
-// violated flag, by pinned searches at the facts it changed while I was
-// clean. Without the fast path (the ablation), each check is the full
-// in-place chase, and the indices split into at most Workers() contiguous
-// chunks, chunk g on slot g's instance (checks only read pc.kb and mutate
-// their own instance, so they are independent). Verdicts land in out by
-// fix index, never by completion order.
+// with an instance per worker to saturate, would cost more. The saturation
+// is kept up to date one way for every KB: a sync that only moves
+// positions into Π rewrites the answered nulls in it, and the chase goes
+// on from the rewritten facts (Checker.ContinueFrom) — without a relevant
+// TGD, that is the ⊥-rules pinned at the changed facts. It is chased from
+// fact 0 only on first use and where instance.sync drops it. Without the
+// fast path (the ablation), each check is the full in-place chase, and the
+// indices split into at most Workers() contiguous chunks, chunk g on slot
+// g's instance (checks only read pc.kb and mutate their own instance, so
+// they are independent). Verdicts land in out by fix index, never by
+// completion order.
 func (pc *PiChecker) runFullChecks(pi Pi, piVals map[logic.Term]int, fixes []Fix, full []int, out []bool) error {
 	if len(full) == 0 {
 		return nil
@@ -376,17 +470,7 @@ func (pc *PiChecker) runFullChecks(pi Pi, piVals map[logic.Term]int, fixes []Fix
 		pc.check = chase.NewChecker(pc.kb.TGDs, pc.kb.CDDs, pc.kb.Facts)
 	}
 	if in := pc.slots[0]; pc.Optimized {
-		clean := in.saturated && !in.violated
-		changed, rebuilt := in.sync(pc.kb.Facts, pi)
-		if clean && !rebuilt && !pc.check.HasTGDs() {
-			// Without a TGD, I is its own saturation, and a violation of
-			// the synced I uses a fact the sync changed: one avoiding them
-			// maps onto facts the clean I had before.
-			in.saturated, in.violated = true, slices.ContainsFunc(changed, func(p Position) bool {
-				return pc.check.ViolatedAt(in.s, p.Fact)
-			})
-		}
-		if err := pc.saturate(in, opts); err != nil {
+		if err := pc.saturate(in, in.sync(pc.kb.Facts, pi, pc.check.HasTGDs()), opts); err != nil {
 			return err
 		}
 		return pc.decide(full, out, func(i int) (bool, error) {
@@ -445,8 +529,8 @@ func (pc *PiChecker) decide(idxs []int, out []bool, verdict func(i int) (bool, e
 // update.) The check truncates its chase away and the fix is undone, so
 // the instance is left as found.
 func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, out []bool, opts chase.Options) error {
-	in.sync(pc.kb.Facts, pi)
 	in.desaturate()
+	in.sync(pc.kb.Facts, pi, pc.check.HasTGDs())
 	return pc.decide(idxs, out, func(i int) (bool, error) {
 		f := fixes[i]
 		prev := in.s.MustSetValue(f.Pos, f.Value)
@@ -455,19 +539,35 @@ func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, ou
 	})
 }
 
-// saturate chases slot 0's synced instance I to saturation, unless it
-// already is: the chase of I under the relevant TGDs and ⊥-rules, kept in
-// place after I's facts, or stopped at the first ⊥ when chase(I) is
-// violated. Its time is billed to core.pi_check_seconds like a check's.
-func (pc *PiChecker) saturate(in *instance, opts chase.Options) error {
-	if in.saturated {
-		return nil
-	}
+// saturate brings slot 0's synced instance I to saturation under the
+// relevant TGDs and ⊥-rules, kept in place after I's facts, or stopped at
+// the first ⊥. A saturation the sync kept is continued from the facts it
+// rewrote (ids; none when nothing changed), unless it is violated, which
+// it stays (DESIGN.md §3); otherwise I is chased from fact 0. Chase time
+// is billed to core.pi_check_seconds like a check's. On an error I is
+// left as nulledCopy(F, Π) without a saturation, so the next batch chases
+// it from fact 0.
+func (pc *PiChecker) saturate(in *instance, ids []store.FactID, opts chase.Options) error {
 	tm := obs.StartTimer()
-	ok, err := pc.check.Saturate(in.s, opts)
+	var ok bool
+	var err error
+	switch {
+	case !in.saturated:
+		pc.scratch++
+		ok, err = pc.check.Saturate(in.s, opts)
+	case len(ids) == 0:
+		return nil
+	case in.violated:
+		pc.maintained++
+		return nil
+	default:
+		pc.maintained++
+		ok, err = pc.check.ContinueFrom(in.s, ids, opts)
+	}
 	mPiCheckTime.Since(tm)
 	attrPiTime.Since(attr.ID(pc.cause.Load()), tm)
 	if err != nil {
+		in.desaturate()
 		return err
 	}
 	in.saturated, in.violated = true, !ok
@@ -476,20 +576,23 @@ func (pc *PiChecker) saturate(in *instance, opts chase.Options) error {
 
 // continued decides one fix on slot 0's saturated instance I by
 // continuation: Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is the instance
-// I′ that is I with f.Value at f.Pos, and its verdict is read off
-// chase(I) ∪ {F′}, where F′ is fact F with f.Value at f.Pos, chased on from
-// F′ alone until ⊥ or fixpoint (Checker.ConsistentWith) and truncated back.
-// If chase(I) is itself violated, the fix is rejected without a chase.
+// I′ that is I with f.Value at f.Pos, and its verdict is read off M ∪ {F′},
+// where M is I's saturation — chase(I), or the store kept for it across
+// syncs, a model containing I that maps into chase(I) fixing I's terms —
+// and F′ is fact F with f.Value at f.Pos, chased on from F′ alone until ⊥
+// or fixpoint (Checker.ConsistentWith) and truncated back. If M is
+// violated, the fix is rejected without a chase.
 //
 // Soundness: f.Pos ∉ Π holds a null n that occurs nowhere else in I — the
 // position's own fresh null, and the saturation invents only nulls escaped
 // against I — so h = {n ↦ v} is a homomorphism from I to I′. By the
 // universal-model property, h extends to a homomorphism from chase(I) to
-// chase(I′), so a violation of chase(I) maps to one of chase(I′): I′ is
-// violated whenever I is. Otherwise let C be the continuation's result, a
+// chase(I′), and composed with M → chase(I) it maps M into chase(I′)
+// extending h, so a violation of M maps to one of chase(I′): I′ is
+// violated whenever M is. Otherwise let C be the continuation's result, a
 // model of the rules that contains I′ (F′ joins I's other facts); chase(I′)
 // maps into C by universality, and C maps into chase(I′) by extending the
-// homomorphism from chase(I) with F′ ↦ F′. So C and chase(I′) are
+// homomorphism from M with F′ ↦ F′. So C and chase(I′) are
 // homomorphically equivalent and have the same violations: derivations
 // that used F's old null stay valid in C, and nothing has to be
 // un-derived.

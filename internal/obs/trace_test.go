@@ -56,12 +56,12 @@ func TestJSONLSinkParentGolden(t *testing.T) {
 	tr := NewTracer(sink)
 	tr.SetNow(fixedClock())
 
-	root := tr.StartSpan("inquiry.run")             // tick 1, id 1
+	root := tr.StartSpan("inquiry.run")              // tick 1, id 1
 	q := root.Child("inquiry.question", Int("q", 1)) // tick 2, id 2
-	chase := tr.StartSpanUnder(q.ID(), "chase.run") // tick 3, id 3
-	chase.End(Int("rounds", 1))                     // tick 4
-	q.End()                                         // tick 5
-	root.End()                                      // tick 6
+	chase := tr.StartSpanUnder(q.ID(), "chase.run")  // tick 3, id 3
+	chase.End(Int("rounds", 1))                      // tick 4
+	q.End()                                          // tick 5
+	root.End()                                       // tick 6
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
