@@ -64,11 +64,11 @@ bench-smoke:
 	$(GO) test -bench 'Homo|Flight|Attr|Sched' -benchtime=1x ./internal/...
 
 # bench-workers runs the same workload at -workers 1 and -workers 4 and
-# compares the two reports: the parallel-speedup evidence for the README
-# table (regenerates results/bench_workers{1,4}.json). Since the chase now
-# fans out speculative firing as well as trigger collection, both chase and
-# conflict metrics respond to -workers. The -baseline leg uses -regress-ok
-# because the point is the printed comparison, not a gate.
+# compares the two reports: the evidence for the README worker-pool table
+# (regenerates results/bench_workers{1,4}.json). Only conflict detection
+# fans out, so its metrics are the ones that respond to -workers. The
+# -baseline leg uses -regress-ok because the point is the printed
+# comparison, not a gate.
 bench-workers:
 	$(GO) run ./cmd/kbbench $(BENCH_ARGS) -workers 1 -json results/bench_workers1.json
 	$(GO) run ./cmd/kbbench $(BENCH_ARGS) -workers 4 -json results/bench_workers4.json \
@@ -76,8 +76,8 @@ bench-workers:
 
 # bench-workers-smoke is the CI variant: a scaled-down workload at both
 # worker counts, discarding the reports — it proves the multi-worker bench
-# path (parallel collection + speculative firing + the report comparison)
-# still runs end to end, without pretending a shared runner can time it.
+# path (the parallel conflict scan + the report comparison) still runs end
+# to end, without pretending a shared runner can time it.
 bench-workers-smoke:
 	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 1 -json results/bench_workers_smoke1.json
 	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 4 -json results/bench_workers_smoke4.json \

@@ -17,7 +17,6 @@ import (
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
 
@@ -34,29 +33,16 @@ var (
 	// mDeferred counts triggers that crossed a round boundary: every trigger
 	// collected in round ≥ 2 involves a fact derived the round before, i.e.
 	// it existed conceptually the moment that fact was added but — by the
-	// round-start snapshot discipline that keeps parallel collection
-	// deterministic — was deferred to the next round's scan. This quantifies
-	// the cost of the snapshot discipline (ROADMAP open item).
+	// round-start collection discipline — was deferred to the next round's
+	// scan. This quantifies the cost of collecting a round's triggers up
+	// front.
 	mDeferred = obs.NewCounter("chase.triggers_deferred")
-	// Speculative-fire/commit protocol counters. spec_firings counts
-	// triggers that passed the applicability check against the round-start
-	// snapshot (speculative phase, parallel); spec_revalidations counts the
-	// commit-time re-checks of survivors whose head predicates gained facts
-	// earlier in the same round; spec_rejected counts survivors those
-	// re-checks killed. All three are deterministic across worker counts —
-	// they depend only on round-start state and commit order.
-	mSpecFirings  = obs.NewCounter("chase.spec_firings")
-	mSpecReval    = obs.NewCounter("chase.spec_revalidations")
-	mSpecRejected = obs.NewCounter("chase.spec_rejected")
-	mRunTime      = obs.NewHistogram("chase.run_seconds", obs.LatencyBuckets)
+	mRunTime  = obs.NewHistogram("chase.run_seconds", obs.LatencyBuckets)
 	// gRound is the live-progress gauge read back by /statusz: the round
 	// the chase currently in flight is on, reset to 0 when the run ends so
 	// an idle process never reports the previous run's round forever.
-	// Within one run only the round loop's goroutine writes it — the
-	// parallel trigger-collection and speculative-firing fan-outs happen
-	// strictly inside a round and never touch the gauge — so there is no
-	// in-run write race; concurrent *runs* overwrite each other
-	// last-writer-wins, which is fine for a dashboard.
+	// Concurrent runs overwrite each other last-writer-wins, which is fine
+	// for a dashboard.
 	gRound = obs.NewGauge(obs.StatusChaseRound)
 )
 
@@ -202,10 +188,9 @@ type Options struct {
 	// under (0 for a root span) — how callers attribute chase time to the
 	// question or scan that triggered it.
 	TraceParent uint64
-	// TraceQuiet suppresses the run's trace spans entirely. The Π-check
-	// worker pool sets it: spans emitted from concurrent workers would
-	// interleave nondeterministically in the trace, so those chases stay
-	// silent and their time is attributed at the batch level instead.
+	// TraceQuiet suppresses the run's trace spans entirely. The Π-checker
+	// sets it: a batch runs many short chases, and their time is
+	// attributed to the batch's core.pi_batch span instead.
 	TraceQuiet bool
 }
 
@@ -230,12 +215,11 @@ func (o Options) maxRounds() int {
 // plans are the CDDs' own (shared with conflict detection and the
 // tracker) — against a representative store.
 //
-// The join order of a plan binds at its first compile, so this must run at a
-// deterministic sequential point before any parallel fan-out can compile as
-// a side effect: the Π-check worker pool chases per-worker Π-nulled
-// instances that differ by the fix under test, and letting the first
-// compile race there would tie the chosen order (and the resulting node
-// counts) to worker scheduling.
+// The join order of a plan binds at its first compile, so a caller runs this
+// before the first search that would compile a plan as a side effect against
+// some other store: the Π-checker calls it so that every plan binds against
+// the base facts, not against the Π-nulled instance, or the chased store of
+// a chase-level conflict scan, that happens to run first.
 func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 	compileRules(tgds, cdds, base)
 }
@@ -247,9 +231,6 @@ type rule struct {
 	// front and exist are the frontier and existential variables (the TGD
 	// methods compute fresh slices on every call).
 	front, exist []logic.Term
-	// headPreds is the deduplicated head-predicate list that drives the
-	// commit-phase revalidation test.
-	headPreds []string
 	// body enumerates the triggers of a full round; pinned[i] is the body
 	// minus atom i (homo.PinnedPlan), searched after pinning atom i onto a
 	// delta fact — nil for a one-atom body, whose pinned atom is the whole
@@ -272,11 +253,6 @@ func compiledRule(t *logic.TGD, owner homo.Owner, stats *store.Store) *rule {
 		return v.(*rule)
 	}
 	r := &rule{tgd: t, front: t.FrontierVars(), exist: t.ExistentialVars()}
-	for _, h := range t.Head {
-		if !slices.Contains(r.headPreds, h.Pred) {
-			r.headPreds = append(r.headPreds, h.Pred)
-		}
-	}
 	r.body = homo.CachedPlanWith(homo.CacheKey{Owner: owner, Tag: homo.TagBody}, t.Body,
 		homo.CompileOpts{Stats: stats})
 	r.head = homo.CachedPlanWith(homo.CacheKey{Owner: owner, Tag: homo.TagHead}, t.Head,
@@ -303,8 +279,8 @@ type ruleSet struct {
 }
 
 // compileRules builds the rule table of tgds followed by the ⊥-rules of
-// cdds, resolving every plan on the calling goroutine — the sequential
-// hoist that keeps first compiles (and so join orders) out of the fan-outs.
+// cdds, resolving every plan against stats before the chase starts, so no
+// first compile (and so no join order) depends on a mid-chase store.
 func compileRules(tgds []*logic.TGD, cdds []*logic.CDD, stats *store.Store) *ruleSet {
 	bottom := CompileBottom(cdds)
 	rs := &ruleSet{rules: make([]*rule, 0, len(tgds)+len(cdds)), byPred: make(map[string][]int)}
@@ -439,41 +415,27 @@ func runRules(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred stri
 // rewritten facts (ContinueFrom) — is a delta round, whose triggers are
 // the homomorphisms that use a delta fact (collectDelta). Triggers that
 // use no delta fact were satisfied before, so no other trigger can be
-// new. Each round has three phases:
+// new. Each round has two phases:
 //
-//  1. Trigger collection — read-only homomorphism searches per TGD against
-//     the store as it stood at the start of the round, fanned out over the
-//     par worker pool one task per rule and merged in rule order. A trigger
-//     that only exists because of a fact derived *within* the current round
-//     is picked up next round through the delta (its newest fact is in this
-//     round's delta), so nothing is lost by collecting against the round
-//     snapshot.
-//  2. Speculative firing — the applicability check and head instantiation
-//     for every trigger, against the same round-start snapshot, fanned out
-//     over the worker pool. Triggers share nothing: the check only reads
-//     the snapshot, and invented nulls are named by firing coordinate
-//     (round, rule, trigger, existential index — store.NullForCoord)
-//     instead of being drawn from a shared counter, so one trigger's
-//     result never depends on another's. Output is therefore
-//     byte-identical at every worker count.
-//  3. Commit — strictly sequential, in (rule, trigger) order. A surviving
-//     speculative firing is re-validated against the live store only when
-//     a predicate of its head gained facts earlier in the same round; the
-//     applicability check reads nothing but head-predicate indexes, so
-//     without such an overlap the snapshot answer still stands. This makes
-//     the committed facts, their ids and their provenance identical to
-//     those of a fully sequential run (the test-only
-//     RunSequentialReference).
-//
-// The round gauge is written only here, between phases, never from the
-// workers.
+//  1. Trigger collection — a homomorphism search per rule against the
+//     store as it stood at the start of the round, in rule order. A
+//     trigger that only exists because of a fact derived *within* the
+//     current round is picked up next round through the delta (its newest
+//     fact is in this round's delta), so nothing is lost by collecting at
+//     the round start.
+//  2. Firing — one trigger at a time, in (rule, trigger) order: the
+//     restricted-chase applicability check against the live store, so a
+//     firing earlier in the round can satisfy a later trigger's head, then
+//     the head instantiation, committed with one AddBatch. Invented nulls
+//     are named by firing coordinate (round, rule, trigger, existential
+//     index — store.NullForCoord), so a null's label is a function of
+//     where it was invented. The committed facts, their ids and their
+//     provenance are those of the test-only RunSequentialReference, up to
+//     the naming of invented nulls.
 //
 // sp is the enclosing chase.run trace span (inert when tracing is off):
 // each round emits a chase.round child, so a slow chase decomposes
-// round-by-round in the waterfall. Round spans, like all pipeline spans,
-// are opened and closed on this goroutine only — the collection workers
-// never touch the tracer — which keeps the trace byte-identical across
-// worker counts.
+// round-by-round in the waterfall.
 func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
 		Store:   s,
@@ -505,7 +467,7 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 		}
 		perRule := rs.collect(s, d)
 		// Every trigger of round ≥ 2 involves a fact derived the round
-		// before: it was deferred across the round-start snapshot boundary.
+		// before: it was deferred across the round-start boundary.
 		var deferred int64
 		if res.Rounds > 1 {
 			for _, ms := range perRule {
@@ -513,90 +475,55 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 			}
 			mDeferred.Add(deferred)
 		}
-		// The next round's delta starts after this round's snapshot.
+		// The next round's delta starts after this round's start.
 		d = delta{lo: store.FactID(s.Len())}
-		// Phase 2 — speculative firing against the round-start snapshot,
-		// fanned out over the worker pool in flattened (rule, trigger)
-		// order. Attribution IDs are resolved up front (the resolve may
-		// intern, which takes a lock) so workers only do atomic adds.
-		var flatRule, flatTrig []int
-		for ri := range rs.rules {
-			for ti := range perRule[ri] {
-				flatRule = append(flatRule, ri)
-				flatTrig = append(flatTrig, ti)
-			}
-		}
-		rids := make([]attr.ID, len(rs.rules))
-		if attr.Enabled() {
-			for ri := range rs.rules {
-				if len(perRule[ri]) > 0 {
-					rids[ri] = ruleAttrID(rs.rules[ri].tgd)
-				}
-			}
-		}
-		specs := par.MapNamed("chase.spec", len(flatRule), func(k int) specFiring {
-			ri, ti := flatRule[k], flatTrig[k]
-			return speculate(s, rs.rules[ri], rids[ri], perRule[ri][ti], res.Rounds, ri, ti)
-		})
-
-		// Phase 3 — sequential commit in the same (rule, trigger) order the
-		// old engine fired in. roundPreds tracks which predicates gained
-		// facts this round; only a head overlapping it needs re-validation
-		// against the live store.
 		var derived int
 		var firings int64
-		roundPreds := make(map[string]bool)
-		for k, f := range specs {
-			if !f.ok {
+		for ri, r := range rs.rules {
+			if len(perRule[ri]) == 0 {
 				continue
 			}
-			ri := flatRule[k]
-			r := rs.rules[ri]
-			overlap := false
-			for _, p := range r.headPreds {
-				if roundPreds[p] {
-					overlap = true
-					break
-				}
+			var rid attr.ID
+			if attr.Enabled() {
+				rid = ruleAttrID(r.tgd)
 			}
-			if overlap {
-				mSpecReval.Inc()
-				if r.head.ExistsSeeded(s, f.frontier) {
-					mSpecRejected.Inc()
+			for ti, m := range perRule[ri] {
+				mTriggers.Inc()
+				attrTriggers.Add(rid, 1)
+				frontier := m.Subst.Restrict(r.front)
+				if r.head.ExistsSeeded(s, frontier) {
 					continue
 				}
-			}
-			if budget-len(res.Prov) < len(r.tgd.Head) {
-				flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusBudget)
-				rsp.End()
-				return res, ErrBudget
-			}
-			mFirings.Inc()
-			attrFirings.Add(rids[ri], 1)
-			mNulls.Add(int64(f.nulls))
-			ids, err := s.AddBatch(f.atoms)
-			if err != nil {
-				flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusError)
-				rsp.End()
-				return res, fmt.Errorf("chase: firing %s: %w", r.tgd, err)
-			}
-			firings++
-			mDerived.Add(int64(len(ids)))
-			attrDerived.Add(rids[ri], int64(len(ids)))
-			parents := perRule[ri][flatTrig[k]].Facts
-			for i, id := range ids {
-				res.Prov[id] = Derivation{Rule: r.tgd, Parents: parents, HeadIdx: i}
-				derived++
-				roundPreds[f.atoms[i].Pred] = true
-				if abortPred != "" && f.atoms[i].Pred == abortPred {
-					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusAborted)
-					if rsp.Live() {
-						rsp.End(obs.Int("round", res.Rounds),
-							obs.Int("derived", derived),
-							obs.Int64("firings", firings),
-							obs.Bool("aborted", true))
+				if budget-len(res.Prov) < len(r.tgd.Head) {
+					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusBudget)
+					rsp.End()
+					return res, ErrBudget
+				}
+				mFirings.Inc()
+				attrFirings.Add(rid, 1)
+				mNulls.Add(int64(len(r.exist)))
+				ids, err := s.AddBatch(r.instantiate(s, frontier, res.Rounds, ri, ti))
+				if err != nil {
+					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusError)
+					rsp.End()
+					return res, fmt.Errorf("chase: firing %s: %w", r.tgd, err)
+				}
+				firings++
+				mDerived.Add(int64(len(ids)))
+				attrDerived.Add(rid, int64(len(ids)))
+				for i, id := range ids {
+					res.Prov[id] = Derivation{Rule: r.tgd, Parents: m.Facts, HeadIdx: i}
+					derived++
+					if abortPred != "" && r.tgd.Head[i].Pred == abortPred {
+						flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(derived), deferred, firings, flight.RoundStatusAborted)
+						if rsp.Live() {
+							rsp.End(obs.Int("round", res.Rounds),
+								obs.Int("derived", derived),
+								obs.Int64("firings", firings),
+								obs.Bool("aborted", true))
+						}
+						return res, nil
 					}
-					return res, nil
 				}
 			}
 		}
@@ -610,17 +537,36 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 	return res, nil
 }
 
-// collect gathers every rule's triggers against the round-start snapshot,
-// one read-only task per rule over the worker pool, merged in rule order.
-// A tail delta from 0 is a full round: every body homomorphism is a
-// trigger. Otherwise the triggers are the homomorphisms that use a delta
-// fact, and only rules with a body predicate among the delta's are
+// instantiate returns the head atoms of a firing of r under the frontier
+// bindings: safe(H), each existential bound to the null of its firing
+// coordinate (round, rule ri, trigger ti).
+func (r *rule) instantiate(s *store.Store, frontier logic.Subst, round, ri, ti int) []logic.Atom {
+	inst := frontier
+	if len(r.exist) > 0 {
+		inst = frontier.Clone()
+		for x, z := range r.exist {
+			inst[z] = s.NullForCoord(round, ri, ti, x)
+		}
+	}
+	atoms := make([]logic.Atom, len(r.tgd.Head))
+	for i, h := range r.tgd.Head {
+		atoms[i] = inst.Apply(h)
+	}
+	return atoms
+}
+
+// collect gathers every rule's triggers against the round-start store, in
+// rule order. A tail delta from 0 is a full round: every body homomorphism
+// is a trigger. Otherwise the triggers are the homomorphisms that use a
+// delta fact, and only rules with a body predicate among the delta's are
 // searched.
 func (rs *ruleSet) collect(s *store.Store, d delta) [][]homo.Match {
+	perRule := make([][]homo.Match, len(rs.rules))
 	if d.ids == nil && d.lo == 0 {
-		return par.MapNamed("chase.collect", len(rs.rules), func(i int) []homo.Match {
-			return collectAll(s, rs.rules[i].body)
-		})
+		for i, r := range rs.rules {
+			perRule[i] = collectAll(s, r.body)
+		}
+		return perRule
 	}
 	preds := make(map[string]bool)
 	var cand []int
@@ -645,12 +591,8 @@ func (rs *ruleSet) collect(s *store.Store, d delta) [][]homo.Match {
 		}
 	}
 	slices.Sort(cand)
-	found := par.MapNamed("chase.collect", len(cand), func(k int) []homo.Match {
-		return collectDelta(s, rs.rules[cand[k]], d)
-	})
-	perRule := make([][]homo.Match, len(rs.rules))
-	for k, ri := range cand {
-		perRule[ri] = found[k]
+	for _, ri := range cand {
+		perRule[ri] = collectDelta(s, rs.rules[ri], d)
 	}
 	return perRule
 }
@@ -673,8 +615,7 @@ func collectAll(s *store.Store, body *homo.Plan) []homo.Match {
 // A homomorphism with several body atoms on delta facts is found once per
 // such atom; it is kept only under the lowest, so each trigger is collected
 // once. The work is proportional to what the delta can join with, not to
-// the rule's matches over the whole store. It only reads the store, so the
-// per-rule calls of one round may run concurrently.
+// the rule's matches over the whole store.
 func collectDelta(s *store.Store, r *rule, d delta) []homo.Match {
 	var out []homo.Match
 	for ai, ba := range r.tgd.Body {
@@ -703,45 +644,6 @@ func collectDelta(s *store.Store, r *rule, d delta) []homo.Match {
 		}
 	}
 	return out
-}
-
-// specFiring is the speculative phase's verdict on one trigger: either a
-// skip (head already satisfied at the round-start snapshot) or a fully
-// instantiated head — safe(H) with coordinate-named nulls — ready to commit.
-type specFiring struct {
-	ok       bool
-	frontier logic.Subst
-	atoms    []logic.Atom
-	nulls    int
-}
-
-// speculate runs the restricted-chase applicability check and the head
-// instantiation for one trigger against the round-start snapshot. It only
-// reads the store and shares nothing mutable with other triggers, so the
-// per-trigger calls of one round may run concurrently (head plans keep
-// per-search state in a pool). Invented nulls are named by the firing
-// coordinate via store.NullForCoord, so their labels do not depend on which
-// other triggers fire, or in what order.
-func speculate(s *store.Store, r *rule, rid attr.ID, m homo.Match, round, ri, ti int) specFiring {
-	mTriggers.Inc()
-	attrTriggers.Add(rid, 1)
-	frontier := m.Subst.Restrict(r.front)
-	if r.head.ExistsSeeded(s, frontier) {
-		return specFiring{}
-	}
-	mSpecFirings.Inc()
-	inst := frontier
-	if len(r.exist) > 0 {
-		inst = frontier.Clone()
-		for x, z := range r.exist {
-			inst[z] = s.NullForCoord(round, ri, ti, x)
-		}
-	}
-	atoms := make([]logic.Atom, len(r.tgd.Head))
-	for i, h := range r.tgd.Head {
-		atoms[i] = inst.Apply(h)
-	}
-	return specFiring{ok: true, frontier: frontier, atoms: atoms, nulls: len(r.exist)}
 }
 
 // IsConsistentNaive runs the full chase and then evaluates every CDD body on

@@ -1,8 +1,7 @@
-// Differential equivalence suite for the speculative-fire/commit engine:
-// over the synthetic KB table, the parallel engine must produce
-// byte-identical transcripts at every worker count, and must match the
-// retained sequential reference engine fact-for-fact modulo a bijective
-// renaming of invented nulls. External test package because synth depends
+// Differential equivalence suite for the chase engine behind Run: over the
+// synthetic KB table it must produce byte-identical transcripts at every
+// worker count, and must match the retained sequential reference engine
+// fact-for-fact modulo a bijective renaming of invented nulls. External test package because synth depends
 // on chase.
 package chase_test
 
@@ -87,9 +86,8 @@ func TestChaseEquivalenceAcrossWorkersSynth(t *testing.T) {
 	}
 }
 
-// TestChaseMatchesSequentialReference is the isomorphism differential: the
-// parallel engine's output must equal the retained pre-parallel engine's
-// output fact-for-fact at the same ids — identical rounds, provenance and
+// TestChaseMatchesSequentialReference is the isomorphism differential: Run's
+// output must equal the retained reference engine's output fact-for-fact at the same ids — identical rounds, provenance and
 // derivation order — with invented nulls related by a bijective renaming
 // (the engines name nulls differently by design: coordinate labels vs the
 // global counter).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/par"
 )
 
 // roundEvents extracts the chase round start/end events from a recorder and
@@ -97,39 +96,4 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 			t.Errorf("final round-end status = %q, want %q", last.Note, flight.RoundStatusAborted)
 		}
 	})
-}
-
-// TestChaseParallelFiringDispatch asserts the speculative-firing phase
-// actually fans out over the worker pool: with more than one worker and
-// more than one trigger per round, the chase emits par.dispatch events for
-// both the collection and the firing fan-outs.
-func TestChaseParallelFiringDispatch(t *testing.T) {
-	withWorkers(t, 4)
-	rec := flight.Enable(256)
-	defer flight.Disable()
-	s, tgds := deepChainKB(t, 3, 4)
-	if _, err := Run(s, tgds, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	var dispatches int
-	for _, e := range rec.Events() {
-		if e.Kind == flight.KindParDispatch {
-			dispatches++
-		}
-	}
-	// Round 1 alone fans out twice: once over the 3 rules for collection,
-	// once over the 4 triggers for speculative firing.
-	if dispatches < 2 {
-		t.Fatalf("par.dispatch events = %d, want >= 2 (collection + firing fan-outs)", dispatches)
-	}
-	par.SetWorkers(1)
-	rec = flight.Enable(256)
-	if _, err := Run(s, tgds, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range rec.Events() {
-		if e.Kind == flight.KindParDispatch {
-			t.Fatal("workers=1 must run inline, but a par.dispatch event was recorded")
-		}
-	}
 }

@@ -10,15 +10,15 @@ import (
 )
 
 // RunSequentialReference computes the restricted chase with the
-// pre-parallel engine: triggers collected rule by rule, firing strictly
+// reference engine: triggers collected rule by rule, firing strictly
 // sequential in (rule, enumeration) order, invented nulls drawn from a
 // private counter. It is kept in a test file — like
-// homo.ReferenceForEachSeeded — as the semantics baseline for the
-// speculative-fire/commit engine behind Run: differential tests require
-// Run's output to match this one fact-for-fact at the same ids, with the
-// same provenance and round structure, modulo a bijective renaming of
-// invented nulls (store.EqualUpToNullRenaming). Unlike Run it is
-// uninstrumented: no metrics, spans, flight events or worker fan-out.
+// homo.ReferenceForEachSeeded — as the semantics baseline for the engine
+// behind Run: differential tests require Run's output to match this one
+// fact-for-fact at the same ids, with the same provenance and round
+// structure, modulo a bijective renaming of invented nulls
+// (store.EqualUpToNullRenaming). Unlike Run it is uninstrumented: no
+// metrics, spans or flight events.
 func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
 	res := &Result{
 		Store:   base.Clone(),
@@ -46,7 +46,7 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 			return res, fmt.Errorf("%w: more than %d rounds", ErrBudget, opts.maxRounds())
 		}
 		// All triggers are collected against the round-start snapshot,
-		// before any firing — the same discipline as the parallel engine,
+		// before any firing — the same discipline as Run's engine,
 		// with its collection (a full first round, then pinned delta
 		// rounds; TestDeltaCollectionMatchesFilter pins it to the
 		// enumerate-then-filter definition), rule by rule.

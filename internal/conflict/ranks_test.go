@@ -68,13 +68,13 @@ func TestPositionRanksMatchesPerConflictJoinPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	kbs = append(kbs, dw)
-	var chunked, indirect, consts bool
+	var large, indirect, consts bool
 	for k, kb := range kbs {
 		cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunked = chunked || len(cs) > 64
+		large = large || len(cs) > 64
 		want := make(map[store.Position]int)
 		for _, c := range cs {
 			indirect = indirect || !c.Direct
@@ -100,8 +100,8 @@ func TestPositionRanksMatchesPerConflictJoinPositions(t *testing.T) {
 			}
 		}
 	}
-	if !chunked || !indirect || !consts {
-		t.Fatalf("table too weak: chunked fan-out %v, non-direct conflicts %v, body constants %v",
-			chunked, indirect, consts)
+	if !large || !indirect || !consts {
+		t.Fatalf("table too weak: more than 64 conflicts %v, non-direct conflicts %v, body constants %v",
+			large, indirect, consts)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
 
@@ -224,32 +223,18 @@ func (t *Tracker) remove(key string) {
 	}
 }
 
-// pinTask is one re-evaluation unit of Update: CDD ci with body atom ai
-// pinned onto the updated fact through the seed substitution.
-type pinTask struct {
-	ci   int
-	ai   int
-	seed logic.Subst
-	plan *homo.Plan // compiled body-minus-pinned-atom conjunction
-}
-
 // Update re-synchronizes the conflict set after the fact with the given id
 // has been modified in the underlying store. Per §5: conflicts related to
 // the fact are dropped, then every CDD related to the fact's (new) atom is
-// re-evaluated with one body atom pinned onto the fact.
-//
-// The pinned-seed searches are independent read-only scans of the store,
-// so they fan out over the par worker pool; the tracker's own indexes are
-// only mutated afterwards, on the calling goroutine, in task order — the
-// conflict set ends up identical for any worker count.
+// re-evaluated with one body atom pinned onto the fact, and the conflicts
+// found are added in (CDD, body atom) order.
 func (t *Tracker) Update(id store.FactID) {
 	t.UpdateUnder(0, id)
 }
 
 // UpdateUnder is Update with the trace span parented under the given span
 // id — the inquiry engine attributes each incremental re-sync to the
-// question whose answer caused it. The span is emitted on this goroutine;
-// the pinned-seed workers never touch the tracer.
+// question whose answer caused it.
 func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	mUpdates.Inc()
 	tm := obs.StartTimer()
@@ -262,44 +247,33 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	for k := range t.byFact[id] {
 		t.remove(k)
 	}
-	atom := t.base.FactRef(id)
-	var tasks []pinTask
+	var added int64
 	// Pin each matching body atom onto the updated fact (its variables bound
 	// against the fact), then search the remaining atoms.
-	t.pins.Each(atom, func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool {
-		tasks = append(tasks, pinTask{ci: ci, ai: ai, seed: seed, plan: plan})
+	t.pins.Each(t.base.FactRef(id), func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool {
+		added += t.addPinned(id, ci, ai, seed, plan)
 		return true
 	})
-	perTask := par.MapNamed("conflict.tracker", len(tasks), func(i int) []*Conflict {
-		return t.scanPinned(id, atom, tasks[i])
-	})
-	var added int64
-	for _, cs := range perTask {
-		for _, c := range cs {
-			t.add(c)
-			added++
-		}
-	}
 	flight.Record(flight.KindTrackerUpdate, int64(id), removed, added, 0)
 	if sp.Live() {
 		sp.End(obs.Int64("removed", removed), obs.Int64("added", added))
 	}
 }
 
-// scanPinned runs one pinned-seed homomorphism search and returns the
-// conflicts it witnesses. It reads the store and the (immutable) CDDs but
-// never touches the tracker's mutable indexes.
-func (t *Tracker) scanPinned(id store.FactID, atom logic.Atom, task pinTask) []*Conflict {
-	cdd := t.cdds[task.ci]
+// addPinned runs the search of CDD ci with body atom ai pinned onto fact id
+// through seed — plan is the body minus that atom — adds each conflict it
+// witnesses, and returns how many it found.
+func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst, plan *homo.Plan) int64 {
+	cdd := t.cdds[ci]
 	if attr.Enabled() {
 		attrPinned.Add(AttrID(cdd), 1)
 	}
-	var out []*Conflict
-	task.plan.ForEachSeeded(t.base, task.seed, func(m homo.Match) bool {
+	var n int64
+	plan.ForEachSeeded(t.base, seed, func(m homo.Match) bool {
 		facts := make([]store.FactID, 0, len(cdd.Body))
 		ri := 0
 		for j := range cdd.Body {
-			if j == task.ai {
+			if j == ai {
 				facts = append(facts, id)
 			} else {
 				facts = append(facts, m.Facts[ri])
@@ -307,13 +281,14 @@ func (t *Tracker) scanPinned(id store.FactID, atom logic.Atom, task pinTask) []*
 			}
 		}
 		full := m.Subst.Clone()
-		for v, val := range task.seed {
+		for v, val := range seed {
 			full[v] = val
 		}
-		out = append(out, newConflict(cdd, task.ci, full, facts, dedupIDs(facts), true))
+		t.add(newConflict(cdd, ci, full, facts, dedupIDs(facts), true))
+		n++
 		return true
 	})
-	return out
+	return n
 }
 
 // Len returns the current number of conflicts.
@@ -348,59 +323,26 @@ func (t *Tracker) PositionRanks() map[store.Position]int {
 	return PositionRanks(t.Conflicts(), t.base)
 }
 
-// positionRanksChunk is the fan-out granularity of PositionRanks: small
-// conflict sets rank inline (a fan-out would cost more than the loop),
-// larger ones split into chunks of this many conflicts.
-const positionRanksChunk = 64
-
 // PositionRanks computes per-position conflict membership counts for an
 // arbitrary conflict set. Opti-mcd is an improvement over opti-join (§5),
 // so for direct conflicts only the join positions are ranked — changing a
 // non-join position can never resolve the conflict, and ranking it would
 // steer the strategy toward wasted questions. Chase-level conflicts fall
 // back to all base-support positions, as in GenerateQuestion-Chase.
-//
-// Ranking only reads the conflicts and the store, and per-position counts
-// add commutatively, so big sets fan out chunk-wise over the par worker
-// pool and merge additively — the result map is identical at any worker
-// count.
 func PositionRanks(conflicts []*Conflict, s *store.Store) map[store.Position]int {
-	// Each CDD's pinArgs table is computed once per call, before any
-	// fan-out, and only read by the chunks.
+	// Each CDD's pinArgs table is computed once per call.
 	args := make(map[*logic.CDD][][]int)
-	for _, c := range conflicts {
-		if _, ok := args[c.CDD]; !ok && c.Direct {
-			args[c.CDD] = pinArgs(c.CDD)
-		}
-	}
-	if len(conflicts) <= positionRanksChunk {
-		return positionRanksSeq(conflicts, s, args)
-	}
-	chunks := (len(conflicts) + positionRanksChunk - 1) / positionRanksChunk
-	parts := par.MapNamed("conflict.ranks", chunks, func(g int) map[store.Position]int {
-		lo := g * positionRanksChunk
-		hi := lo + positionRanksChunk
-		if hi > len(conflicts) {
-			hi = len(conflicts)
-		}
-		return positionRanksSeq(conflicts[lo:hi], s, args)
-	})
-	ranks := make(map[store.Position]int)
-	for _, part := range parts {
-		for p, n := range part {
-			ranks[p] += n
-		}
-	}
-	return ranks
-}
-
-func positionRanksSeq(conflicts []*Conflict, s *store.Store, args map[*logic.CDD][][]int) map[store.Position]int {
 	ranks := make(map[store.Position]int)
 	var buf []store.Position
 	for _, c := range conflicts {
 		var ps []store.Position
 		if c.Direct {
-			buf = c.joinPositionsInto(buf, args[c.CDD])
+			a, ok := args[c.CDD]
+			if !ok {
+				a = pinArgs(c.CDD)
+				args[c.CDD] = a
+			}
+			buf = c.joinPositionsInto(buf, a)
 			ps = buf
 		}
 		if len(ps) == 0 {

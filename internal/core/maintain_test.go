@@ -64,8 +64,8 @@ u(_:n1r0t0x0).
 	s0, u0 := Position{Fact: 0, Arg: 0}, Position{Fact: 1, Arg: 0}
 	fixes := []Fix{{Pos: s0, Value: kb.Facts.Value(s0)}, {Pos: s0, Value: logic.C("k")}}
 	checkAgainstAlgorithm1(t, pc, NewPi(), fixes[1:])
-	if pc.scratch != 1 || !pc.slots[0].s.OccursAnywhere(kb.Facts.Value(u0)) {
-		t.Fatalf("first batch: %d saturations from fact 0, saturation:\n%s", pc.scratch, pc.slots[0].s)
+	if pc.scratch != 1 || !pc.in.s.OccursAnywhere(kb.Facts.Value(u0)) {
+		t.Fatalf("first batch: %d saturations from fact 0, saturation:\n%s", pc.scratch, pc.in.s)
 	}
 	checkAgainstAlgorithm1(t, pc, NewPi(u0), fixes)
 	if pc.scratch != 2 || pc.maintained != 0 {
@@ -102,7 +102,7 @@ w(c).
 	if _, err := pc.CheckBatch(pi, fixes); !errors.Is(err, chase.ErrBudget) {
 		t.Fatalf("continuation under a one-derivation budget: err %v, want ErrBudget", err)
 	}
-	in := pc.slots[0]
+	in := &pc.in
 	if in.saturated || in.s.Len() != kb.Facts.Len() || !in.s.EqualUpToNullRenaming(nulledCopy(kb.Facts, pi)) {
 		t.Fatalf("after ErrBudget: saturated %v, instance\n%s\nwant nulledCopy\n%s", in.saturated, in.s, nulledCopy(kb.Facts, pi))
 	}

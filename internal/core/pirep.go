@@ -4,14 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"kbrepair/internal/chase"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
 
@@ -76,7 +74,7 @@ func (pi Pi) Has(p Position) bool { return pi[p] }
 // same fact ids where every position outside Π holds the fresh existential
 // variable attributed to it (store.NullForPos, escaped against the source
 // store, so it can join with nothing) and Π positions keep their values.
-// PiChecker builds each of its session instances with it once; the one-shot
+// PiChecker builds its session instance with it once; the one-shot
 // PiRepairable / PiRepairableNaive build one per call.
 func nulledCopy(facts *store.Store, pi Pi) *store.Store {
 	out := store.New()
@@ -102,7 +100,7 @@ func validPos(facts *store.Store, p Position) bool {
 // followed by the derived facts of its saturation, which syncs keep up to
 // date too where the homomorphism argument of DESIGN.md §3 allows.
 type instance struct {
-	s  *store.Store // nil until the slot is first used
+	s  *store.Store // nil until the instance is first used
 	pi Pi           // the Π whose positions hold their values from F in s
 	// n is the number of facts of F the instance holds: s's first n facts
 	// are the nulled copy, and any facts after them are derived.
@@ -274,12 +272,11 @@ func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
 // PiChecker performs the repeated Π-repairability checks of question
 // generation, with the Π-RepOpt fast path of §5. Create one per KB/session;
 // it caches the set of constants appearing in the rules and the compiled
-// consistency check, and it owns the session's Π-nulled instances, built
+// consistency check, and it owns the session's Π-nulled instance, built
 // once and then synced to (kb.Facts, Π) at the start of each batch that
 // needs one, so a full check costs what it derives, not a copy of the
-// store. With the fast path on, slot 0's instance keeps its saturation
-// across syncs (see runFullChecks); the ablation uses one instance per
-// worker slot of its fan-out.
+// store. With the fast path on, the instance keeps its saturation across
+// syncs (see runFullChecks).
 type PiChecker struct {
 	kb        *KB
 	ruleConst map[logic.Term]bool
@@ -292,43 +289,37 @@ type PiChecker struct {
 	// for the ablation benchmarks).
 	FastHits   int
 	FullChecks int
-	// slots[g] is the Π-nulled instance chunk g of a batch checks on. Only
-	// chunk g's goroutine touches it during a batch; optimized batches use
-	// slot 0 alone.
-	slots []*instance
-	// maintained counts the syncs that changed slot 0's instance and kept
-	// its saturation, scratch the saturations chased from fact 0 (read by
-	// the tests through export_test.go).
+	// in is the Π-nulled instance every full check of a batch runs on.
+	in instance
+	// maintained counts the syncs that changed the instance and kept its
+	// saturation, scratch the saturations chased from fact 0 (read by the
+	// tests through export_test.go).
 	maintained, scratch int
 	// cause is the attribution ID of the CDD whose conflict caused the
-	// current batch (attr.None when unknown). Atomic because checkChunk
-	// reads it from worker goroutines.
-	cause atomic.Int32
+	// current batch (attr.None when unknown).
+	cause attr.ID
 	// traceParent is the span id subsequent core.pi_batch spans are
-	// parented under (0 for roots). Atomic for the same reason as cause:
-	// set by the engine goroutine, consistent to read anywhere.
-	traceParent atomic.Uint64
+	// parented under (0 for roots).
+	traceParent uint64
 }
 
 // SetCause attributes subsequent Π-check work to the given ID — the inquiry
 // engine sets it to the causing conflict's CDD before each SOUNDQUESTION.
-func (pc *PiChecker) SetCause(id attr.ID) { pc.cause.Store(int32(id)) }
+func (pc *PiChecker) SetCause(id attr.ID) { pc.cause = id }
 
 // SetTraceParent parents subsequent Π-batch trace spans under the given
 // span id — the inquiry engine points it at the question-generation span
 // before each SOUNDQUESTION, mirroring SetCause.
-func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent.Store(id) }
+func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent = id }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
-// It also warms the plan cache for every rule body against the KB's base
-// store: with the fast path off (the ablation), full checks fan out across
-// workers on per-slot instances, and a first compile racing in a worker
-// would bind join orders to whichever instance won — warming here keeps
-// orders deterministic.
+// It also binds the plan of every rule body against the KB's base store
+// (chase.PrecompilePlans): otherwise the first search to compile a plan
+// would bind its join order against whatever it searched — a Π-nulled
+// instance, or the chased store of a chase-level conflict scan.
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
-	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true}
-	pc.cause.Store(int32(attr.None))
+	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true, cause: attr.None}
 	collect := func(as []logic.Atom) {
 		for _, a := range as {
 			for _, t := range a.Args {
@@ -377,9 +368,8 @@ func (pc *PiChecker) CheckWithFix(pi Pi, f Fix) (bool, error) {
 // sharing the same Π (the filtering loop of one SOUNDQUESTION call). Every
 // fix position is validated first. The fast path handles most fixes
 // sequentially; the remaining full Algorithm 1 checks run on the checker's
-// session instances (see runFullChecks), with verdicts written by fix index
-// so the result — and therefore question order — is byte-identical at
-// every worker count.
+// session instance (see runFullChecks), with verdicts written by fix
+// index.
 func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 	for _, f := range fixes {
 		if !validPos(pc.kb.Facts, f.Pos) {
@@ -389,12 +379,12 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 	out := make([]bool, len(fixes))
 	var fastHits, accepted int64
 	var full []int
-	// One span covers the whole batch: the full checks run inside worker
-	// goroutines with their chases silenced (TraceQuiet), so Π time is
-	// attributed here, at batch granularity, deterministically.
+	// One span covers the whole batch: the full checks run with their
+	// chases silenced (TraceQuiet), so Π time is attributed here, at batch
+	// granularity.
 	var sp obs.Span
 	if obs.Tracing() {
-		sp = obs.StartSpanUnder(pc.traceParent.Load(), "core.pi_batch",
+		sp = obs.StartSpanUnder(pc.traceParent, "core.pi_batch",
 			obs.Int("batch", len(fixes)))
 	}
 	defer func() {
@@ -405,7 +395,7 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 				obs.Int64("accepted", accepted))
 		}
 	}()
-	cause := attr.ID(pc.cause.Load())
+	cause := pc.cause
 	var piVals map[logic.Term]int
 	if pc.Optimized {
 		piVals = piValues(pc.kb.Facts, pi)
@@ -436,82 +426,49 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 }
 
 // runFullChecks runs the full Algorithm 1 checks of a batch (fix indices in
-// full; piVals is piValues(F, pi) when the fast path is on). With the fast
-// path on, they run inline on slot 0's instance I as continuations from
-// I's saturation (continued), which cost a few rounds each — a fan-out,
-// with an instance per worker to saturate, would cost more. The saturation
+// full; piVals is piValues(F, pi) when the fast path is on) on the
+// session's instance I. With the fast path on, they are continuations from
+// I's saturation (continued), which cost a few rounds each. The saturation
 // is kept up to date one way for every KB: a sync that only moves
 // positions into Π rewrites the answered nulls in it, and the chase goes
 // on from the rewritten facts (Checker.ContinueFrom) — without a relevant
 // TGD, that is the ⊥-rules pinned at the changed facts. It is chased from
 // fact 0 only on first use and where instance.sync drops it. Without the
-// fast path (the ablation), each check is the full in-place chase, and the
-// indices split into at most Workers() contiguous chunks, chunk g on slot
-// g's instance (checks only read pc.kb and mutate their own instance, so
-// they are independent). Verdicts land in out by fix index, never by
-// completion order.
+// fast path (the ablation), each check is the full in-place chase
+// (checkFull). Verdicts land in out by fix index.
 func (pc *PiChecker) runFullChecks(pi Pi, piVals map[logic.Term]int, fixes []Fix, full []int, out []bool) error {
 	if len(full) == 0 {
 		return nil
 	}
-	if len(pc.slots) == 0 {
-		pc.slots = append(pc.slots, &instance{})
-	}
-	// Chunks may run on worker goroutines: their chases stay out of the
-	// trace (interleaved spans from racing workers would make the trace
-	// depend on the worker count). CheckBatch's pi_batch span carries the
-	// batch's time instead; optimized checks stay quiet alike.
+	// The checks' chases stay out of the trace: CheckBatch's pi_batch span
+	// carries the batch's time instead.
 	opts := pc.kb.ChaseOpts
 	opts.TraceQuiet = true
 	if pc.check == nil {
-		// Compiled on this goroutine, before any fan-out, against the KB's
-		// facts: the same sequential point and store as PrecompilePlans,
-		// so first compiles bind the same join orders.
+		// Compiled against the KB's facts, the store PrecompilePlans binds
+		// against, so first compiles bind the same join orders.
 		pc.check = chase.NewChecker(pc.kb.TGDs, pc.kb.CDDs, pc.kb.Facts)
 	}
-	if in := pc.slots[0]; pc.Optimized {
-		if err := pc.saturate(in, in.sync(pc.kb.Facts, pi, pc.check.HasTGDs()), opts); err != nil {
-			return err
-		}
-		return pc.decide(full, out, func(i int) (bool, error) {
-			return pc.continued(in, pi, piVals, fixes[i], opts)
-		})
+	if !pc.Optimized {
+		return pc.checkFull(pi, fixes, full, out, opts)
 	}
-	w := min(par.Workers(), len(full))
-	for len(pc.slots) < w {
-		pc.slots = append(pc.slots, &instance{})
+	if err := pc.saturate(pc.in.sync(pc.kb.Facts, pi, pc.check.HasTGDs()), opts); err != nil {
+		return err
 	}
-	if w <= 1 {
-		return pc.checkChunk(pc.slots[0], pi, fixes, full, out, opts)
-	}
-	chunks := make([][]int, 0, w)
-	for g := 0; g < w; g++ {
-		lo, hi := g*len(full)/w, (g+1)*len(full)/w
-		if lo < hi {
-			chunks = append(chunks, full[lo:hi])
-		}
-	}
-	errs := par.MapNamed("core.pi", len(chunks), func(g int) error {
-		return pc.checkChunk(pc.slots[g], pi, fixes, chunks[g], out, opts)
+	return pc.decide(full, out, func(i int) (bool, error) {
+		return pc.continued(pi, piVals, fixes[i], opts)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // decide runs verdict for each fix index in idxs, timing every check into
 // core.pi_check_seconds (and the cause's attribution), and writes the
 // verdicts into out by index.
 func (pc *PiChecker) decide(idxs []int, out []bool, verdict func(i int) (bool, error)) error {
-	cause := attr.ID(pc.cause.Load())
 	for _, i := range idxs {
 		tm := obs.StartTimer()
 		ok, err := verdict(i)
 		mPiCheckTime.Since(tm)
-		attrPiTime.Since(cause, tm)
+		attrPiTime.Since(pc.cause, tm)
 		if err != nil {
 			return err
 		}
@@ -520,15 +477,15 @@ func (pc *PiChecker) decide(idxs []int, out []bool, verdict func(i int) (bool, e
 	return nil
 }
 
-// checkChunk syncs the slot's instance to (kb.Facts, Π), without a
-// saturation, and decides each fix index in idxs on it by the full in-place
-// check: Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the nulled
+// checkFull syncs the instance to (kb.Facts, Π), without a saturation, and
+// decides each fix index in idxs on it by the full in-place check: Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the nulled
 // instance with the fix value at the fix position. (Π positions of the
 // instance keep their values; f.Pos is outside Π in every SOUNDQUESTION
 // call, and if it were inside, setting it still realizes the hypothetical
 // update.) The check truncates its chase away and the fix is undone, so
 // the instance is left as found.
-func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, out []bool, opts chase.Options) error {
+func (pc *PiChecker) checkFull(pi Pi, fixes []Fix, idxs []int, out []bool, opts chase.Options) error {
+	in := &pc.in
 	in.desaturate()
 	in.sync(pc.kb.Facts, pi, pc.check.HasTGDs())
 	return pc.decide(idxs, out, func(i int) (bool, error) {
@@ -539,7 +496,7 @@ func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, ou
 	})
 }
 
-// saturate brings slot 0's synced instance I to saturation under the
+// saturate brings the synced instance I to saturation under the
 // relevant TGDs and ⊥-rules, kept in place after I's facts, or stopped at
 // the first ⊥. A saturation the sync kept is continued from the facts it
 // rewrote (ids; none when nothing changed), unless it is violated, which
@@ -547,7 +504,8 @@ func (pc *PiChecker) checkChunk(in *instance, pi Pi, fixes []Fix, idxs []int, ou
 // is billed to core.pi_check_seconds like a check's. On an error I is
 // left as nulledCopy(F, Π) without a saturation, so the next batch chases
 // it from fact 0.
-func (pc *PiChecker) saturate(in *instance, ids []store.FactID, opts chase.Options) error {
+func (pc *PiChecker) saturate(ids []store.FactID, opts chase.Options) error {
+	in := &pc.in
 	tm := obs.StartTimer()
 	var ok bool
 	var err error
@@ -565,7 +523,7 @@ func (pc *PiChecker) saturate(in *instance, ids []store.FactID, opts chase.Optio
 		ok, err = pc.check.ContinueFrom(in.s, ids, opts)
 	}
 	mPiCheckTime.Since(tm)
-	attrPiTime.Since(attr.ID(pc.cause.Load()), tm)
+	attrPiTime.Since(pc.cause, tm)
 	if err != nil {
 		in.desaturate()
 		return err
@@ -574,7 +532,7 @@ func (pc *PiChecker) saturate(in *instance, ids []store.FactID, opts chase.Optio
 	return nil
 }
 
-// continued decides one fix on slot 0's saturated instance I by
+// continued decides one fix on the saturated instance I by
 // continuation: Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is the instance
 // I′ that is I with f.Value at f.Pos, and its verdict is read off M ∪ {F′},
 // where M is I's saturation — chase(I), or the store kept for it across
@@ -601,7 +559,8 @@ func (pc *PiChecker) saturate(in *instance, ids []store.FactID, opts chase.Optio
 // a null that occurs in the saturation but in no Π value of F — one the
 // saturation invented, not one of I's. Those fixes, which SOUNDQUESTION
 // never produces, get the full check on a fresh nulled copy instead.
-func (pc *PiChecker) continued(in *instance, pi Pi, piVals map[logic.Term]int, f Fix, opts chase.Options) (bool, error) {
+func (pc *PiChecker) continued(pi Pi, piVals map[logic.Term]int, f Fix, opts chase.Options) (bool, error) {
+	in := &pc.in
 	if !pi.Has(f.Pos) {
 		if in.violated {
 			return false, nil

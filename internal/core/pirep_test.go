@@ -404,7 +404,7 @@ func TestFixLocalVerdictAgreesWithAlgorithm1(t *testing.T) {
 		ps := kb.Facts.Positions()
 		for batch := 0; batch < 4; batch++ {
 			// Batch 2 runs with the fast path off (full in-place checks
-			// that sync slot 0 and drop its saturation).
+			// that sync the instance and drop its saturation).
 			pc.Optimized = batch != 2
 			pi := NewPi()
 			for i := 0; i < 1+r.Intn(6); i++ {

@@ -137,7 +137,7 @@ func UpdateRepair(kb *KB, fs FixSet) (*KB, error) {
 // FixValues enumerates the candidate values for a position per Def. 3.1:
 // the active domain of (pred, arg) minus the current value, plus one fresh
 // null uniquely attributed to the position (store.NullForPos, last). It only
-// reads the store, so fix generation for many positions can fan out.
+// reads the store.
 func FixValues(kb *KB, pos Position) []logic.Term {
 	a := kb.Facts.FactRef(pos.Fact)
 	cur := kb.Facts.Value(pos)

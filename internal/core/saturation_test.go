@@ -54,8 +54,8 @@ func hostileTGDCase(t *testing.T) sessionCase {
 // TestSessionInstancesRandomWalk does) on the session KBs — synth with
 // and without TGDs, the hostile-label KBs and Durum Wheat — at one and
 // four workers. Every step ends with a batch cross-checked against
-// Algorithm 1 (checkFixes); after every batch that synced slot 0, its
-// saturation must agree with a fresh Saturate of nulledCopy(F, Π): the
+// Algorithm 1 (checkFixes); after every batch that synced the instance,
+// its saturation must agree with a fresh Saturate of nulledCopy(F, Π): the
 // same violated flag, and when clean, each must map homomorphically into
 // the other with nulls read as variables, and no derived fact may hold a
 // null that is neither a term of I nor invented. Walks also pin the
@@ -161,7 +161,7 @@ func TestMaintainedSaturationMatchesFresh(t *testing.T) {
 				synced, released = true, false
 				s, n, saturated, violated := pc.Saturation()
 				if !saturated {
-					t.Fatalf("%s step %d: slot 0 is not saturated after a batch with full checks", name, step)
+					t.Fatalf("%s step %d: the instance is not saturated after a batch with full checks", name, step)
 				}
 				base := make(map[logic.Term]bool)
 				for id := range store.FactID(n) {

@@ -9,10 +9,10 @@ import (
 )
 
 // PhaseEfficiency is one row of the efficiency report: every fan-out
-// that ran under one sched label ("chase.spec", "conflict.scan", …),
+// that ran under one sched label (such as "conflict.scan"),
 // with Utilization = BusyUS / WorkerUS — the fraction of the phase's
 // worker capacity that ran tasks. TopWallUS excludes nested fan-outs
-// (a chase fanning out inside a Π-check worker), which overlap their
+// (started from a task of another fan-out), which overlap their
 // parent's window and would double-count against total wall time.
 type PhaseEfficiency struct {
 	Label       string  `json:"label"`

@@ -13,9 +13,9 @@ import (
 
 // repairTranscript runs one full two-phase repair of a fixed-seed
 // synthetic workload (CDDs + TGDs, so both naive and chase-level conflict
-// detection and the parallel trigger collection are exercised) and renders
-// everything the user saw and did plus the final store — the byte-level
-// identity the parallel execution layer must preserve.
+// detection and the chase are exercised) and renders everything the user
+// saw and did plus the final store — the byte-level identity the parallel
+// conflict scan must preserve.
 func repairTranscript(t *testing.T, workers int) string {
 	return repairTranscriptOpts(t, workers, synth.Params{
 		Seed:               9,
@@ -95,11 +95,11 @@ func TestRepairDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPiFilterDeterministicAcrossWorkers pins the parallel Π-repairability
+// TestPiFilterDeterministicAcrossWorkers pins the full Π-repairability
 // filtering path: with the Π-RepOpt fast path disabled, every candidate fix
-// of every question goes through a full Algorithm 1 check, which CheckBatch
-// fans out across the worker pool. The transcript — question contents and
-// order included — must be byte-identical at every worker count.
+// of every question goes through a full Algorithm 1 check. The transcript —
+// question contents and order included — must be byte-identical at every
+// worker count.
 func TestPiFilterDeterministicAcrossWorkers(t *testing.T) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 	params := synth.Params{
@@ -148,6 +148,40 @@ func TestRepairDeterministicWithSchedEnabled(t *testing.T) {
 		if s.OpenFanouts != 0 || s.AbortedFanouts != 0 {
 			t.Fatalf("workers=%d: lane books unbalanced after repair: open %d aborted %d",
 				w, s.OpenFanouts, s.AbortedFanouts)
+		}
+	}
+}
+
+// TestConflictScanIsTheOnlyFanOut pins where a session runs in parallel: a
+// repair of the synth TGD workload at four workers, with the lane recorder
+// on, fans out under the conflict.scan label only — with and without the
+// Π-RepOpt fast path. The chase, the tracker, ranking, fix generation and
+// the Π-checks run inline on the engine's goroutine.
+func TestConflictScanIsTheOnlyFanOut(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	t.Cleanup(sched.Disable)
+	params := synth.Params{
+		Seed:               9,
+		NumFacts:           120,
+		InconsistencyRatio: 0.25,
+		NumCDDs:            8,
+		NumTGDs:            4,
+		JoinVarRatio:       0.3,
+	}
+	for _, opts := range []Options{{}, {DisablePiRepOpt: true}} {
+		sched.Enable(0)
+		if tr := repairTranscriptOpts(t, 4, params, opts); !strings.Contains(tr, "round 0:") {
+			t.Fatal("workload asked no questions; test would be vacuous")
+		}
+		s := sched.Capture()
+		if len(s.Labels) == 0 {
+			t.Fatalf("fast path %v: no fan-out recorded; test would be vacuous", !opts.DisablePiRepOpt)
+		}
+		for _, l := range s.Labels {
+			if l.Label != "conflict.scan" {
+				t.Errorf("fast path %v: fan-out label %q (%d fan-outs), want conflict.scan only",
+					!opts.DisablePiRepOpt, l.Label, l.Fanouts)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
-	"kbrepair/internal/par"
 )
 
 // Question is a sound question φ = {f1, …, fn}: a set of fixes such that
@@ -52,35 +51,21 @@ func (q Question) Describe(kb *core.KB) string {
 // conflict, the result is non-empty (Lemma 4.3).
 func SoundQuestion(kb *core.KB, pc *core.PiChecker, pi core.Pi, positions []core.Position, maxValues int) (core.FixSet, error) {
 	seen := make(map[core.Position]bool)
-	eligible := make([]core.Position, 0, len(positions))
+	var cands core.FixSet
 	for _, pos := range positions {
 		if pi.Has(pos) || seen[pos] {
 			continue
 		}
 		seen[pos] = true
-		eligible = append(eligible, pos)
-	}
-	// Fix values only read the store (each position's fresh null is a
-	// function of the position), so enumeration fans out; the per-position
-	// fix lists merge in position order, so the candidate list — and
-	// therefore the question — is identical at every worker count.
-	perPos := par.MapNamed("inquiry.fixgen", len(eligible), func(i int) core.FixSet {
-		pos := eligible[i]
 		vals := core.FixValues(kb, pos)
 		if maxValues > 0 && len(vals) > maxValues {
 			// Keep the fresh null (last) and the first maxValues-1 domain
 			// values; the null guarantees answerability.
 			vals = append(vals[:maxValues-1:maxValues-1], vals[len(vals)-1])
 		}
-		fs := make(core.FixSet, 0, len(vals))
 		for _, v := range vals {
-			fs = append(fs, core.Fix{Pos: pos, Value: v})
+			cands = append(cands, core.Fix{Pos: pos, Value: v})
 		}
-		return fs
-	})
-	var cands core.FixSet
-	for _, fs := range perPos {
-		cands = append(cands, fs...)
 	}
 	sound, err := pc.CheckBatch(pi, cands)
 	if err != nil {

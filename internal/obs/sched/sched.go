@@ -14,7 +14,7 @@
 //
 // Like the flight recorder and attr families, the disabled path is one
 // atomic load and zero allocations: Begin returns a nil *Fanout, and all
-// methods are nil-receiver no-ops, so par.Do pays nothing until a CLI
+// methods are nil-receiver no-ops, so par.DoNamed pays nothing until a CLI
 // opts in (-sched, -pprof, or a kbbench report run).
 package sched
 
@@ -43,11 +43,11 @@ type Interval struct {
 }
 
 // LabelAgg aggregates every fan-out that ran under one label (one call
-// site: "chase.spec", "conflict.scan", …). WorkerUS is the capacity —
+// site, such as "conflict.scan"). WorkerUS is the capacity —
 // workers × window — so BusyUS/WorkerUS is the label's utilization.
-// TopWallUS counts only non-nested fan-outs: nested ones (a chase fanning
-// out inside a Π-check worker) overlap their parent's window and must not
-// be double-counted against total wall time.
+// TopWallUS counts only non-nested fan-outs: nested ones (started from a
+// task of another fan-out) overlap their parent's window and must not be
+// double-counted against total wall time.
 type LabelAgg struct {
 	Label          string `json:"label"`
 	Fanouts        int64  `json:"fanouts"`
@@ -126,7 +126,7 @@ func Disable() { current.Store(nil) }
 // Current returns the process-wide recorder, or nil when disabled.
 func Current() *Recorder { return current.Load() }
 
-// Fanout is one in-flight par.Do dispatch. A nil *Fanout (recording
+// Fanout is one in-flight par.DoNamed dispatch. A nil *Fanout (recording
 // disabled) is valid: every method is a no-op.
 type Fanout struct {
 	r       *Recorder

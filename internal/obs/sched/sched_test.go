@@ -48,7 +48,7 @@ func TestDisabledPathAllocates0(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedDisabled measures the disabled fast path par.Do pays on
+// BenchmarkSchedDisabled measures the disabled fast path par.DoNamed pays on
 // every fan-out when no CLI opted in — one atomic load in Begin plus
 // nil-receiver no-ops.
 func BenchmarkSchedDisabled(b *testing.B) {

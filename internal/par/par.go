@@ -1,24 +1,26 @@
-// Package par provides the worker-pool parallel execution layer of
-// kbrepair. The pipeline's dominant costs — conflict detection (one
-// independent homomorphism search per CDD, and per pinned-atom seed in the
-// incremental tracker) and the per-round chase phases (one read-only
-// trigger search per TGD, then one speculative applicability check and head
-// instantiation per trigger) — fan out through Do/Map here.
+// Package par provides the worker pool of kbrepair's one parallel site:
+// conflict detection, which runs one independent homomorphism search per CDD
+// (conflict.scan, in AllNaive and in the chase-level scan behind All). It
+// pays on a store's first scan, which covers every fact; everything else
+// in the pipeline — the chase, the incremental tracker, ranking, fix
+// generation and the Π-checks — runs sequentially on the caller's
+// goroutine.
 //
-// Design rules, enforced by the callers:
+// Design rules, enforced by the caller:
 //
 //   - Tasks are read-only with respect to shared state (the store's
 //     concurrent-read contract; see internal/store). All mutation happens
 //     after the fan-in, on the caller's goroutine.
 //   - Results are merged in task-index order, never in completion order, so
-//     every output is byte-identical regardless of the worker count. Map
-//     makes this the default by writing each task's result to its own slot.
+//     every output is byte-identical regardless of the worker count.
+//     MapNamed makes this the default by writing each task's result to its
+//     own slot.
 //
 // The pool size is a process-wide setting (SetWorkers / the -workers CLI
-// flag, default runtime.GOMAXPROCS(0)). Workers are spawned per Do call
-// rather than kept hot: the fan-outs here are coarse (whole homomorphism
-// searches), so goroutine start-up cost is noise, and an idle process holds
-// no threads.
+// flag, default runtime.GOMAXPROCS(0)). Workers are spawned per fan-out
+// rather than kept hot: the tasks are coarse (whole homomorphism searches),
+// so goroutine start-up cost is noise, and an idle process holds no
+// threads.
 package par
 
 import (
@@ -77,29 +79,27 @@ func SetWorkers(n int) int {
 func AddFlags(fs *flag.FlagSet) *int {
 	n := new(int)
 	fs.IntVar(n, "workers", 0,
-		fmt.Sprintf("parallel worker count for conflict detection and the chase's trigger-collection and speculative-firing phases (0 = GOMAXPROCS, currently %d)", runtime.GOMAXPROCS(0)))
+		fmt.Sprintf("parallel worker count for conflict detection, the only parallel phase (0 = GOMAXPROCS, currently %d)", runtime.GOMAXPROCS(0)))
 	return n
 }
 
 // Configure applies a parsed AddFlags value.
 func Configure(n *int) { SetWorkers(*n) }
 
-// Do runs fn(0) … fn(n-1) on up to Workers() goroutines and returns when
-// all calls have finished. Tasks are handed out in index order but may
+// DoNamed runs fn(0) … fn(n-1) on up to Workers() goroutines and returns
+// when all calls have finished. Tasks are handed out in index order but may
 // complete in any order; callers must not depend on cross-task timing.
 // With a pool size of one (or a single task) everything runs inline on the
 // calling goroutine, which keeps -workers 1 a true sequential baseline.
 //
-// If any task panics, Do panics on the calling goroutine with the first
-// panic value after all workers have stopped.
-func Do(n int, fn func(i int)) { DoNamed("par.do", n, fn) }
-
-// DoNamed is Do with a fan-out label: the phase name the sched lane
-// recorder aggregates under ("chase.spec", "conflict.scan", …), which
-// becomes the per-phase row of kbbench's efficiency report. The label
-// changes no execution behavior — lane recording is observability-only,
-// nil-cost when disabled, and its records never enter the trace stream,
-// so output stays byte-identical at every worker count.
+// If any task panics, DoNamed panics on the calling goroutine with the
+// first panic value after all workers have stopped.
+//
+// label is the phase name the sched lane recorder aggregates under
+// ("conflict.scan"), which becomes the per-phase row of kbbench's
+// efficiency report. It changes no execution behavior — lane recording is
+// observability-only, nil-cost when disabled, and its records never enter
+// the trace stream, so output stays byte-identical at every worker count.
 func DoNamed(label string, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -165,12 +165,9 @@ func DoNamed(label string, n int, fn func(i int)) {
 	}
 }
 
-// Map runs fn over 0 … n-1 in parallel and returns the results in task
-// order — the deterministic fan-out/fan-in shape every parallel stage of
-// the pipeline uses.
-func Map[T any](n int, fn func(i int) T) []T { return MapNamed("par.do", n, fn) }
-
-// MapNamed is Map with a sched fan-out label; see DoNamed.
+// MapNamed runs fn over 0 … n-1 in parallel and returns the results in
+// task order — the deterministic fan-out/fan-in shape of the conflict
+// scan. label names the fan-out, as for DoNamed.
 func MapNamed[T any](label string, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	DoNamed(label, n, func(i int) { out[i] = fn(i) })

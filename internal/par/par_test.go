@@ -46,7 +46,7 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 		withWorkers(t, w)
 		const n = 100
 		var counts [n]atomic.Int32
-		Do(n, func(i int) { counts[i].Add(1) })
+		DoNamed("test.do", n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", w, i, c)
@@ -57,19 +57,19 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 
 func TestDoZeroAndNegative(t *testing.T) {
 	ran := false
-	Do(0, func(int) { ran = true })
-	Do(-3, func(int) { ran = true })
+	DoNamed("test.do", 0, func(int) { ran = true })
+	DoNamed("test.do", -3, func(int) { ran = true })
 	if ran {
-		t.Error("Do ran tasks for n <= 0")
+		t.Error("DoNamed ran tasks for n <= 0")
 	}
 }
 
 func TestMapIsDeterministicAcrossWorkerCounts(t *testing.T) {
 	sq := func(i int) int { return i * i }
 	withWorkers(t, 1)
-	seq := Map(64, sq)
+	seq := MapNamed("test.map", 64, sq)
 	withWorkers(t, 8)
-	parl := Map(64, sq)
+	parl := MapNamed("test.map", 64, sq)
 	if len(seq) != len(parl) {
 		t.Fatalf("length mismatch: %d vs %d", len(seq), len(parl))
 	}
@@ -91,7 +91,7 @@ func TestDoPropagatesPanic(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	Do(16, func(i int) {
+	DoNamed("test.do", 16, func(i int) {
 		if i == 7 {
 			panic("boom 7")
 		}
@@ -101,7 +101,7 @@ func TestDoPropagatesPanic(t *testing.T) {
 func TestDoCountsTasks(t *testing.T) {
 	withWorkers(t, 2)
 	before := mTasks.Value()
-	Do(10, func(int) {})
+	DoNamed("test.do", 10, func(int) {})
 	if got := mTasks.Value() - before; got != 10 {
 		t.Errorf("par.tasks advanced by %d, want 10", got)
 	}
@@ -120,9 +120,8 @@ func TestAddFlags(t *testing.T) {
 	}
 }
 
-// TestDoConcurrentFanOuts exercises overlapping Do calls from multiple
-// goroutines (the shape a future parallel phase-2 would produce) under the
-// race detector.
+// TestDoConcurrentFanOuts exercises overlapping DoNamed calls from
+// multiple goroutines under the race detector.
 func TestDoConcurrentFanOuts(t *testing.T) {
 	withWorkers(t, 4)
 	done := make(chan struct{})
@@ -130,7 +129,7 @@ func TestDoConcurrentFanOuts(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			var sum atomic.Int64
-			Do(50, func(i int) { sum.Add(int64(i)) })
+			DoNamed("test.do", 50, func(i int) { sum.Add(int64(i)) })
 			if sum.Load() != 50*49/2 {
 				t.Error("wrong sum")
 			}
@@ -239,7 +238,7 @@ func TestDoLaneBalanceUnderPanic(t *testing.T) {
 
 // TestDoRefreshesWorkersGauge pins the satellite fix: with -workers unset
 // the par.workers gauge must track GOMAXPROCS changes made after package
-// init, refreshed on each Do.
+// init, refreshed on each fan-out.
 func TestDoRefreshesWorkersGauge(t *testing.T) {
 	withWorkers(t, 0)
 	old := runtime.GOMAXPROCS(0)
@@ -248,9 +247,9 @@ func TestDoRefreshesWorkersGauge(t *testing.T) {
 		runtime.GOMAXPROCS(old)
 		gWorkers.Set(int64(Workers()))
 	}()
-	Do(4, func(int) {})
+	DoNamed("test.do", 4, func(int) {})
 	if got := gWorkers.Value(); got != 3 {
-		t.Errorf("par.workers gauge = %d after GOMAXPROCS(3)+Do, want 3", got)
+		t.Errorf("par.workers gauge = %d after GOMAXPROCS(3)+DoNamed, want 3", got)
 	}
 }
 

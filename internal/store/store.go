@@ -24,11 +24,9 @@
 // NullForCoord, …) simultaneously as long as no goroutine mutates the store
 // (Add, AddBatch, SetValue, Truncate) in the same window. Writes require
 // exclusive access; the caller provides that exclusion — the store has no
-// internal locking, because the repair pipeline's phases are already
-// strictly "parallel read, then sequential write" (parallel conflict
-// detection, chase trigger collection and speculative rule firing read; fix
-// application and the chase commit phase write from one goroutine between
-// fan-outs). A consistency check that chases a store in place
+// internal locking, because the repair pipeline's one parallel phase is
+// read-only: the per-CDD conflict scan reads, and fix application and the
+// chase write from one goroutine between scans. A consistency check that chases a store in place
 // (chase.IsConsistentOpt) is a writer for its whole duration, although it
 // truncates the store back before returning. Metric increments inside read
 // paths are atomic and do not break the contract.
@@ -518,8 +516,7 @@ func posNullLabel(p Position) string {
 // chase firing coordinate (round, rule index, trigger index, existential-var
 // index): "n<round>r<rule>t<trig>x<ex>". The label is a function of the
 // coordinate alone, so a firing's nulls do not depend on which firings
-// preceded it, which is what lets chase rule firing fan out across workers
-// while staying byte-identical at every worker count.
+// preceded it.
 func CoordNullLabel(round, rule, trig, ex int) string {
 	b := make([]byte, 0, 16)
 	b = append(b, 'n')
