@@ -103,11 +103,33 @@ func (c *Conflict) JoinPositions(s *store.Store) []store.Position {
 	return c.joinPositionsInto(nil, pinArgs(c.CDD))
 }
 
+// rankedPositions computes, into buf's storage, the positions c counts
+// toward the hypergraph degrees (see PositionRanks): its join positions
+// when it is direct and has any, otherwise every position of its base
+// facts.
+func (c *Conflict) rankedPositions(buf []store.Position, s *store.Store) []store.Position {
+	buf = buf[:0]
+	if c.Direct {
+		buf = c.joinPositionsInto(buf, pinArgs(c.CDD))
+	}
+	if len(buf) > 0 {
+		return buf
+	}
+	return c.positionsInto(buf, s)
+}
+
+// pinArgsKey is the key of a CDD's pinArgs table in the CDD's memo.
+type pinArgsKey struct{}
+
 // pinArgs returns, per body atom of the CDD, the argument indexes whose
 // values pin a homomorphism: the join-variable arguments, then the
-// constant arguments, each ascending. It depends on the CDD alone, so
-// callers ranking many conflicts compute it once per CDD.
+// constant arguments, each ascending. It depends on the CDD alone, so it
+// is computed once and memoized on the CDD, next to its compiled plans.
+// The table is shared: callers do not modify it.
 func pinArgs(cdd *logic.CDD) [][]int {
+	if v, ok := cdd.Memo().Load(pinArgsKey{}); ok {
+		return v.([][]int)
+	}
 	joinArgs := cdd.JoinPositions()
 	out := make([][]int, len(cdd.Body))
 	for i, a := range cdd.Body {
@@ -119,7 +141,8 @@ func pinArgs(cdd *logic.CDD) [][]int {
 			}
 		}
 	}
-	return out
+	v, _ := cdd.Memo().LoadOrStore(pinArgsKey{}, out)
+	return v.([][]int)
 }
 
 // joinPositionsInto computes the conflict's join positions (see
@@ -166,13 +189,17 @@ func (c *Conflict) InvolvesFact(id store.FactID) bool {
 // the paper's Π′ = {(A, i) | A ∈ h(body(N))} of Algorithm 2, restricted to
 // base facts.
 func (c *Conflict) Positions(s *store.Store) []store.Position {
-	var out []store.Position
+	return c.positionsInto(nil, s)
+}
+
+// positionsInto appends c's Positions to buf.
+func (c *Conflict) positionsInto(buf []store.Position, s *store.Store) []store.Position {
 	for _, f := range c.BaseFacts {
 		for i := 0; i < s.Arity(f); i++ {
-			out = append(out, store.Position{Fact: f, Arg: i})
+			buf = append(buf, store.Position{Fact: f, Arg: i})
 		}
 	}
-	return out
+	return buf
 }
 
 // String renders the conflict for diagnostics.

@@ -248,7 +248,7 @@ func TestComputeStats(t *testing.T) {
 func TestPositionRanks(t *testing.T) {
 	s, _, cdds := fig1bKB(t)
 	tr := NewTracker(s, cdds)
-	ranks := tr.PositionRanks()
+	ranks := tr.Degrees()
 	// The single naive conflict involves facts 0 and 1 → 4 ranked positions.
 	if len(ranks) != 4 {
 		t.Fatalf("ranks = %v", ranks)

@@ -3,6 +3,7 @@ package conflict_test
 
 import (
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -103,5 +104,77 @@ func TestPositionRanksMatchesPerConflictJoinPositions(t *testing.T) {
 	if !large || !indirect || !consts {
 		t.Fatalf("table too weak: more than 64 conflicts %v, non-direct conflicts %v, body constants %v",
 			large, indirect, consts)
+	}
+}
+
+// TestTrackerDegreesMatchPositionRanks: on synth KBs with and without TGDs
+// and on Durum Wheat, the degrees a tracker maintains through random value
+// updates equal PositionRanks over its live conflicts after every step,
+// and the degrees of a tracker rebuilt from scratch at that step (the
+// DisableIncremental path) equal PositionRanks over its own conflicts. (The
+// two trackers may disagree on which copy of a duplicated atom a conflict
+// names; see NewTrackerOf.) Values are drawn as fixes are — from the
+// position's active domain or a fresh null — mostly at positions of live
+// conflicts, so steps both resolve and create conflicts.
+func TestTrackerDegreesMatchPositionRanks(t *testing.T) {
+	var kbs []*core.KB
+	for _, p := range []synth.Params{
+		{Seed: 3, NumFacts: 400, InconsistencyRatio: 0.4, NumCDDs: 12, JoinVarRatio: 0.5},
+		{Seed: 5, NumFacts: 300, InconsistencyRatio: 0.25, NumCDDs: 10, NumTGDs: 6, JoinVarRatio: 0.3},
+	} {
+		g, err := synth.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kbs = append(kbs, g.KB)
+	}
+	dw, _, err := durum.Build(durum.V2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbs = append(kbs, dw)
+	for k, kb := range kbs {
+		rng := rand.New(rand.NewSource(int64(k) + 1))
+		tr := conflict.NewTracker(kb.Facts, kb.CDDs)
+		if tr.Len() == 0 {
+			t.Fatalf("kb %d has no naive conflicts", k)
+		}
+		tr.Degrees()
+		var created, resolved int
+		for step := 0; step < 60; step++ {
+			var id store.FactID
+			if cs := tr.Conflicts(); len(cs) > 0 && rng.Intn(4) > 0 {
+				c := cs[rng.Intn(len(cs))]
+				id = c.BaseFacts[rng.Intn(len(c.BaseFacts))]
+			} else {
+				id = store.FactID(rng.Intn(kb.Facts.Len()))
+			}
+			pos := store.Position{Fact: id, Arg: rng.Intn(kb.Facts.Arity(id))}
+			vals := core.FixValues(kb, pos)
+			if _, err := kb.Facts.SetValue(pos, vals[rng.Intn(len(vals))]); err != nil {
+				t.Fatal(err)
+			}
+			before := tr.Len()
+			tr.Update(id)
+			if tr.Len() > before {
+				created++
+			} else if tr.Len() < before {
+				resolved++
+			}
+			want := conflict.PositionRanks(tr.Conflicts(), kb.Facts)
+			if got := tr.Degrees(); !maps.Equal(got, want) {
+				t.Fatalf("kb %d, step %d: maintained degrees (%d positions) differ from PositionRanks (%d positions)",
+					k, step, len(got), len(want))
+			}
+			rebuilt := conflict.NewTracker(kb.Facts, kb.CDDs)
+			want = conflict.PositionRanks(rebuilt.Conflicts(), kb.Facts)
+			if got := rebuilt.Degrees(); !maps.Equal(got, want) {
+				t.Fatalf("kb %d, step %d: rebuilt tracker's degrees (%d positions) differ from PositionRanks (%d positions)",
+					k, step, len(got), len(want))
+			}
+		}
+		if created == 0 || resolved == 0 {
+			t.Fatalf("kb %d: steps too weak: %d created conflicts, %d resolved some", k, created, resolved)
+		}
 	}
 }

@@ -31,6 +31,14 @@ type Tracker struct {
 	orderedKeys []string
 	// pins holds the pinned-atom plans Update re-evaluates with.
 	pins *Pins
+	// degrees holds the vertex degrees of the conflict hypergraph (see
+	// PositionRanks) once Degrees has built it; index and remove keep it
+	// current from then on. Nil until asked for, so sessions whose strategy
+	// never ranks positions pay nothing for it.
+	degrees map[store.Position]int
+	// posBuf is the scratch slice a conflict's ranked positions are
+	// computed into.
+	posBuf []store.Position
 }
 
 // NewTracker computes the initial naive conflicts of the store and prepares
@@ -200,6 +208,45 @@ func (t *Tracker) index(k string, c *Conflict) {
 		}
 		m[k] = true
 	}
+	if t.degrees != nil {
+		t.count(c, 1)
+	}
+}
+
+// count adds c's hyperedge to the degree table (d = 1) or takes it out
+// (d = -1): every position c is ranked on gains or loses one, and a
+// position left at zero is deleted.
+func (t *Tracker) count(c *Conflict, d int) {
+	t.posBuf = c.rankedPositions(t.posBuf, t.base)
+	for _, p := range t.posBuf {
+		switch {
+		case d > 0:
+			t.degrees[p]++
+		case t.degrees[p] > 1:
+			t.degrees[p]--
+		default:
+			delete(t.degrees, p)
+		}
+	}
+}
+
+// Degrees returns the vertex degrees of the tracker's conflict hypergraph:
+// for every position some live conflict is ranked on, the number of live
+// conflicts ranked on it — what PositionRanks(t.Conflicts(), base)
+// returns. The first call builds the table in one pass over the live
+// conflicts; Update maintains it from then on, adjusting only the
+// positions of the conflicts it removes and adds. The map is the tracker's
+// own: callers read it and do not keep it past the next Update.
+func (t *Tracker) Degrees() map[store.Position]int {
+	if t.degrees == nil {
+		// A direct conflict is ranked on about one join position per fact,
+		// and conflicts overlap, so the facts in conflicts size the table.
+		t.degrees = make(map[store.Position]int, len(t.byFact))
+		for _, c := range t.ordered {
+			t.count(c, 1)
+		}
+	}
+	return t.degrees
 }
 
 func (t *Tracker) remove(key string) {
@@ -220,6 +267,9 @@ func (t *Tracker) remove(key string) {
 				delete(t.byFact, f)
 			}
 		}
+	}
+	if t.degrees != nil {
+		t.count(c, -1)
 	}
 }
 
@@ -316,39 +366,20 @@ func (t *Tracker) ConflictsOfFact(id store.FactID) []*Conflict {
 	return out
 }
 
-// PositionRanks returns, for every position of every fact involved in a
-// conflict, the number of conflicts containing it — the vertex degrees of
-// the conflict hypergraph used by opti-mcd.
-func (t *Tracker) PositionRanks() map[store.Position]int {
-	return PositionRanks(t.Conflicts(), t.base)
-}
-
 // PositionRanks computes per-position conflict membership counts for an
-// arbitrary conflict set. Opti-mcd is an improvement over opti-join (§5),
-// so for direct conflicts only the join positions are ranked — changing a
+// arbitrary conflict set: the vertex degrees of the conflict hypergraph
+// used by opti-mcd. Opti-mcd is an improvement over opti-join (§5), so for
+// direct conflicts only the join positions are ranked — changing a
 // non-join position can never resolve the conflict, and ranking it would
 // steer the strategy toward wasted questions. Chase-level conflicts fall
-// back to all base-support positions, as in GenerateQuestion-Chase.
+// back to all base-support positions, as in GenerateQuestion-Chase. A
+// tracker keeps the same counts for its own conflicts (Tracker.Degrees).
 func PositionRanks(conflicts []*Conflict, s *store.Store) map[store.Position]int {
-	// Each CDD's pinArgs table is computed once per call.
-	args := make(map[*logic.CDD][][]int)
 	ranks := make(map[store.Position]int)
 	var buf []store.Position
 	for _, c := range conflicts {
-		var ps []store.Position
-		if c.Direct {
-			a, ok := args[c.CDD]
-			if !ok {
-				a = pinArgs(c.CDD)
-				args[c.CDD] = a
-			}
-			buf = c.joinPositionsInto(buf, a)
-			ps = buf
-		}
-		if len(ps) == 0 {
-			ps = c.Positions(s)
-		}
-		for _, p := range ps {
+		buf = c.rankedPositions(buf, s)
+		for _, p := range buf {
 			ranks[p]++
 		}
 	}

@@ -111,6 +111,9 @@ func BuildEfficiency(s *sched.Snapshot, wallUS int64, queueWaitSeconds float64, 
 	}
 	if workerUSTotal > 0 {
 		e.QueueWaitShare = float64(e.QueueWaitUS) / float64(workerUSTotal)
+		// Each queue wait is a slice of one worker's lane inside its fan-out
+		// window (see internal/par), so the share exceeds 1 only by clock
+		// granularity: the lanes are whole microseconds, the waits are not.
 		if e.QueueWaitShare > 1 {
 			e.QueueWaitShare = 1
 		}

@@ -172,6 +172,8 @@ type Engine struct {
 
 	pc         *core.PiChecker
 	propagated core.Pi
+	// rank is the current question's ranking state (see beginQuestion).
+	rank ranking
 }
 
 // New builds an engine. A nil strategy defaults to Random; a nil user is an
@@ -420,6 +422,7 @@ func (e *Engine) Run() (*Result, error) {
 	// Phase one: naive conflicts.
 	for tracker.Len() > 0 {
 		cs := tracker.Conflicts()
+		e.beginQuestion(tracker)
 		statusRound(1, len(cs), len(res.Rounds))
 		qsp := rootSp.Child("inquiry.question")
 		psp := qsp.Child("inquiry.pick_conflict")
@@ -456,6 +459,7 @@ func (e *Engine) Run() (*Result, error) {
 		return res, err
 	}
 	for len(cs) > 0 {
+		e.beginQuestion(nil)
 		statusRound(2, len(cs), len(res.Rounds))
 		qsp := rootSp.Child("inquiry.question")
 		psp := qsp.Child("inquiry.pick_conflict")

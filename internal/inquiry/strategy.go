@@ -1,12 +1,14 @@
 package inquiry
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
+	"kbrepair/internal/store"
 )
 
 // Strategy is one of the §5 questioning strategies. A strategy decides
@@ -159,11 +161,10 @@ type OptiMCD struct{}
 // Name implements Strategy.
 func (OptiMCD) Name() string { return "opti-mcd" }
 
-// PickConflict implements Strategy: the conflict containing the best
-// position (the position choice happens in Positions; any containing
-// conflict works, so pick the first).
+// PickConflict implements Strategy: a conflict containing the position
+// Positions offers — the first in cs that involves its fact.
 func (OptiMCD) PickConflict(e *Engine, cs []*conflict.Conflict) *conflict.Conflict {
-	p, ok := e.bestRankedPosition(cs)
+	p, ok := e.mcdPosition(cs)
 	if !ok {
 		return pickRandom(cs, e.Rng)
 	}
@@ -179,7 +180,7 @@ func (OptiMCD) PickConflict(e *Engine, cs []*conflict.Conflict) *conflict.Confli
 // Π (ties broken randomly); falls back to the conflict's positions when no
 // ranked position remains.
 func (OptiMCD) Positions(e *Engine, cs []*conflict.Conflict, x *conflict.Conflict) []core.Position {
-	if p, ok := e.bestRankedPosition(cs); ok {
+	if p, ok := e.mcdPosition(cs); ok {
 		return []core.Position{p}
 	}
 	return x.Positions(e.KB.Facts)
@@ -189,38 +190,85 @@ func (OptiMCD) Positions(e *Engine, cs []*conflict.Conflict, x *conflict.Conflic
 func (OptiMCD) AfterAnswer(*Engine, []*conflict.Conflict, *conflict.Conflict, []core.Position, core.Fix) {
 }
 
-// bestRankedPosition returns the position with the highest conflict count
-// (hypergraph degree) among positions outside Π, breaking ties uniformly at
-// random with the engine's RNG.
-func (e *Engine) bestRankedPosition(cs []*conflict.Conflict) (core.Position, bool) {
-	ranks := conflict.PositionRanks(cs, e.KB.Facts)
+// ranking is the per-question state of the degree-ranking strategies: the
+// position a question offers, chosen once from the hypergraph degrees and
+// read by both PickConflict and Positions. beginQuestion resets it.
+type ranking struct {
+	// tracker is the phase-one tracker whose maintained degrees the
+	// question ranks; nil in phase two, which ranks its re-scanned
+	// chase-level set with conflict.PositionRanks.
+	tracker *conflict.Tracker
+	// pos is the position the strategy offers, once chosen is set; found
+	// is false when no ranked position lies outside Π.
+	pos           core.Position
+	found, chosen bool
+	// ties is bestRankedPositions' buffer, kept across questions.
+	ties []core.Position
+}
+
+// beginQuestion resets the ranking state for a new question over the
+// conflicts of tracker (nil for a chase-level set).
+func (e *Engine) beginQuestion(tracker *conflict.Tracker) {
+	e.rank = ranking{tracker: tracker, ties: e.rank.ties[:0]}
+}
+
+// degrees returns the hypergraph degrees of the question's conflict set
+// cs: the phase-one tracker's maintained table, or one PositionRanks pass
+// over cs in phase two. Read-only.
+func (e *Engine) degrees(cs []*conflict.Conflict) map[store.Position]int {
+	if e.rank.tracker != nil {
+		return e.rank.tracker.Degrees()
+	}
+	return conflict.PositionRanks(cs, e.KB.Facts)
+}
+
+// bestRankedPositions returns the positions with the highest conflict
+// count (hypergraph degree) among positions outside Π, sorted by
+// (Fact, Arg).
+func (e *Engine) bestRankedPositions(cs []*conflict.Conflict) []core.Position {
 	best := -1
-	var ties []core.Position
-	for p, r := range ranks {
-		if e.Pi.Has(p) {
+	ties := e.rank.ties[:0]
+	for p, r := range e.degrees(cs) {
+		if r < best || e.Pi.Has(p) {
 			continue
 		}
 		if r > best {
 			best = r
 			ties = ties[:0]
-			ties = append(ties, p)
-		} else if r == best {
-			ties = append(ties, p)
 		}
-	}
-	if len(ties) == 0 {
-		return core.Position{}, false
+		ties = append(ties, p)
 	}
 	// Sort before any random pick: ties were collected in map order, and a
 	// seeded choice is only reproducible over a deterministic slice.
-	sort.Slice(ties, func(i, j int) bool {
-		if ties[i].Fact != ties[j].Fact {
-			return ties[i].Fact < ties[j].Fact
+	slices.SortFunc(ties, func(a, b core.Position) int {
+		if a.Fact != b.Fact {
+			return cmp.Compare(a.Fact, b.Fact)
 		}
-		return ties[i].Arg < ties[j].Arg
+		return cmp.Compare(a.Arg, b.Arg)
 	})
-	if len(ties) == 1 || e.Rng == nil {
-		return ties[0], true
+	e.rank.ties = ties
+	return ties
+}
+
+// mcdPosition returns opti-mcd's position for the question: a maximum-
+// degree position outside Π, ties broken uniformly at random with the
+// engine's RNG, drawn once per question.
+func (e *Engine) mcdPosition(cs []*conflict.Conflict) (core.Position, bool) {
+	if !e.rank.chosen {
+		ties := e.bestRankedPositions(cs)
+		e.rank.chosen, e.rank.found = true, len(ties) > 0
+		if !e.rank.found {
+			return core.Position{}, false
+		}
+		p := ties[0]
+		if len(ties) > 1 && e.Rng != nil {
+			// The first draw is discarded: it only keeps seeded sessions
+			// asking the questions they asked when the conflict and the
+			// offered position were drawn independently.
+			e.Rng.Intn(len(ties))
+			p = ties[e.Rng.Intn(len(ties))]
+		}
+		e.rank.pos = p
 	}
-	return ties[e.Rng.Intn(len(ties))], true
+	return e.rank.pos, e.rank.found
 }

@@ -115,13 +115,16 @@ func (s *AdaptiveStrategy) weight(pred string) float64 {
 }
 
 // bestWeighted returns the position with the highest degree×weight score
-// outside Π.
+// outside Π, the smallest by (Fact, Arg) among equal scores — computed
+// once per question from the degrees opti-mcd ranks.
 func (s *AdaptiveStrategy) bestWeighted(e *Engine, cs []*conflict.Conflict) (core.Position, bool) {
-	ranks := conflict.PositionRanks(cs, e.KB.Facts)
+	if e.rank.chosen {
+		return e.rank.pos, e.rank.found
+	}
 	best := -1.0
 	var bestPos core.Position
 	found := false
-	for p, r := range ranks {
+	for p, r := range e.degrees(cs) {
 		if e.Pi.Has(p) {
 			continue
 		}
@@ -130,6 +133,7 @@ func (s *AdaptiveStrategy) bestWeighted(e *Engine, cs []*conflict.Conflict) (cor
 			best, bestPos, found = score, p, true
 		}
 	}
+	e.rank.pos, e.rank.found, e.rank.chosen = bestPos, found, true
 	return bestPos, found
 }
 

@@ -35,9 +35,12 @@ import (
 	"kbrepair/internal/obs/sched"
 )
 
-// Pool instrumentation: tasks executed, the configured pool size, and the
-// time tasks spend queued before a worker picks them up (nonzero queue wait
-// means the fan-out is wider than the pool — more workers would help).
+// Pool instrumentation: tasks executed, the configured pool size, and each
+// task's queue wait — the time from its worker becoming free (the fan-out's
+// start for a worker's first task, the end of its previous task after
+// that) to the task starting, i.e. the pool's hand-off latency. A task's
+// wait never includes another task's run time, so a worker's waits are
+// disjoint slices of its lane and their sum stays within worker capacity.
 var (
 	mTasks     = obs.NewCounter("par.tasks")
 	gWorkers   = obs.NewGauge("par.workers")
@@ -125,7 +128,7 @@ func DoNamed(label string, n int, fn func(i int)) {
 	// Only true fan-outs are flight-recorded; inline runs would flood the
 	// ring with events that carry no scheduling information.
 	flight.Record(flight.KindParDispatch, int64(n), int64(w), 0, 0)
-	enq := obs.StartTimer()
+	start := obs.StartTimer()
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -136,12 +139,13 @@ func DoNamed(label string, n int, fn func(i int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			free := start
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				mQueueWait.Since(enq)
+				mQueueWait.Since(free)
 				t0 := fo.Start()
 				func() {
 					defer func() {
@@ -156,6 +160,7 @@ func DoNamed(label string, n int, fn func(i int)) {
 				// The lane interval closes even for a panicked task — the
 				// recover above already fired — keeping busy records balanced.
 				fo.Task(g, i, t0)
+				free = obs.StartTimer()
 			}
 		}()
 	}

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/sched"
 )
 
@@ -104,6 +106,26 @@ func TestDoCountsTasks(t *testing.T) {
 	DoNamed("test.do", 10, func(int) {})
 	if got := mTasks.Value() - before; got != 10 {
 		t.Errorf("par.tasks advanced by %d, want 10", got)
+	}
+}
+
+// TestQueueWaitExcludesOtherTasks: a task's queue wait runs from its
+// worker becoming free, so tasks queued behind others are not charged
+// their run time. Six 20 ms tasks on two workers would sum to 120 ms of
+// wait if timed from the fan-out's start.
+func TestQueueWaitExcludesOtherTasks(t *testing.T) {
+	withWorkers(t, 2)
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(prev) })
+	before := mQueueWait.Snapshot()
+	DoNamed("test.do", 6, func(int) { time.Sleep(20 * time.Millisecond) })
+	after := mQueueWait.Snapshot()
+	if n := after.Count - before.Count; n != 6 {
+		t.Fatalf("%d queue-wait samples, want 6", n)
+	}
+	if wait := after.Sum - before.Sum; wait >= 0.020 {
+		t.Errorf("queue waits sum to %.1f ms, want less than one task's 20 ms", wait*1e3)
 	}
 }
 
