@@ -326,7 +326,7 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 // derived facts; base itself is not modified.
 func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, *chase.Result, error) {
 	// Callers keep the chase result, so the scan chases a clone.
-	return scan(base.Clone(), tgds, cdds, opts)
+	return scan(base.Clone(), tgds, cdds, opts, nil, nil)
 }
 
 // AllInPlace returns the conflicts All returns, without copying s: the
@@ -336,20 +336,42 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 // writer under the store's concurrency contract: the caller holds s
 // exclusively for the call. The chase result is gone when it returns, and
 // with it the derived facts a non-direct conflict's Facts name (see
-// Conflict.Facts).
+// Conflict.Facts). It is RescanInPlace with every CDD affected.
 func AllInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, error) {
+	return RescanInPlace(s, tgds, cdds, opts, nil, nil)
+}
+
+// RescanInPlace returns the conflicts AllInPlace returns after a value
+// update of one base fact, given prev, the result of the scan of s before
+// the update, and affected, the update's CDD mask (Reach.Affected; nil
+// marks every CDD). It chases s as AllInPlace does but searches only the
+// affected CDDs; every other CDD's conflicts are prev's, the very
+// conflicts its search would return again (DESIGN.md §3).
+func RescanInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, error) {
 	defer s.Truncate(s.Len())
-	cs, _, err := scan(s, tgds, cdds, opts)
+	cs, _, err := scan(s, tgds, cdds, opts, prev, affected)
 	return cs, err
 }
 
 // scan chases s in place under the TGDs relevant to the CDDs and evaluates
-// every CDD body on the result: the one chase-level scan behind All (on a
-// clone) and AllInPlace (on the caller's store, truncated afterwards).
-func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, *chase.Result, error) {
+// the affected CDD bodies on the result, taking the other CDDs' conflicts
+// from prev (see RescanInPlace; a nil mask searches every CDD and ignores
+// prev): the one chase-level scan behind All (on a clone) and
+// AllInPlace/RescanInPlace (on the caller's store, truncated afterwards).
+func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, *chase.Result, error) {
 	mScans.Inc()
 	tm := obs.StartTimer()
 	defer mDetectTime.Since(tm)
+	if affected == nil {
+		prev = nil
+	}
+	// idx lists the CDDs searched, ascending.
+	idx := make([]int, 0, len(cdds))
+	for i := range cdds {
+		if affected == nil || affected[i] {
+			idx = append(idx, i)
+		}
+	}
 	// The scan span is parented wherever the caller pointed the chase
 	// options (e.g. the inquiry.question span); the chase run underneath is
 	// then re-parented under the scan, so the waterfall shows
@@ -357,33 +379,71 @@ func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Optio
 	var sp obs.Span
 	if obs.Tracing() && !opts.TraceQuiet {
 		sp = obs.StartSpanUnder(opts.TraceParent, "conflict.scan",
-			obs.Int("cdds", len(cdds)), obs.Bool("naive", false))
+			obs.Int("cdds", len(idx)), obs.Bool("naive", false))
 		opts.TraceParent = sp.ID()
 	}
+	// The chase runs over the TGDs relevant to every CDD, searched or not,
+	// so each fact it derives has the same coordinates as in a full scan.
 	tgds = chase.RelevantTGDs(tgds, cdds)
 	res, err := chase.RunInPlace(s, tgds, opts)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
 	}
-	// Same fan-out shape as AllNaive: one read-only task per CDD over the
-	// chased store, merged in CDD-index order. Concurrent tasks share the
-	// chase result's memoized base-support cache, which is goroutine-safe.
-	// Plans resolve sequentially first so order binding never races.
+	// Same fan-out shape as AllNaive: one read-only task per searched CDD
+	// over the chased store, merged in CDD-index order. Concurrent tasks
+	// share the chase result's memoized base-support cache, which is
+	// goroutine-safe. Plans resolve sequentially first so order binding
+	// never races.
 	plans := bodyPlans(res.Store, cdds)
-	perCDD := par.MapNamed("conflict.scan", len(cdds), func(i int) []*Conflict {
+	found := par.MapNamed("conflict.scan", len(idx), func(j int) []*Conflict {
+		i := idx[j]
 		return scanCDD(res.Store, plans[i], cdds[i], i, res)
 	})
-	var out []*Conflict
-	for _, cs := range perCDD {
-		out = append(out, cs...)
+	out := merge(prev, affected, idx, found)
+	if attr.Enabled() && affected != nil {
+		// A kept conflict counts as found again, as a full scan counts it.
+		for _, c := range out {
+			if !affected[c.CDDIdx] {
+				attrFound.Add(AttrID(c.CDD), 1)
+			}
+		}
 	}
 	mFound.Add(int64(len(out)))
-	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 1, 0)
+	flight.Record(flight.KindConflictScan, int64(len(idx)), int64(len(out)), 1, 0)
 	if sp.Live() {
 		sp.End(obs.Int("conflicts", len(out)))
 	}
 	return out, res, nil
+}
+
+// merge returns, in CDD-index order and in one slice sized up front, the
+// conflicts found for the searched CDDs (found[j] those of CDD idx[j], idx
+// ascending) and prev's conflicts of every CDD affected does not mark.
+// prev is in CDD-index order, as every scan's result is.
+func merge(prev []*Conflict, affected []bool, idx []int, found [][]*Conflict) []*Conflict {
+	n := 0
+	for _, cs := range found {
+		n += len(cs)
+	}
+	for _, c := range prev {
+		if !affected[c.CDDIdx] {
+			n++
+		}
+	}
+	out := make([]*Conflict, 0, n)
+	k := 0
+	for j, i := range idx {
+		// prev's conflicts before CDD i are of CDDs not searched; its own
+		// are replaced by what the search found.
+		for ; k < len(prev) && prev[k].CDDIdx <= i; k++ {
+			if prev[k].CDDIdx < i {
+				out = append(out, prev[k])
+			}
+		}
+		out = append(out, found[j]...)
+	}
+	return append(out, prev[k:]...)
 }
 
 // Stats reports the KB-structure indicators the paper attaches to each

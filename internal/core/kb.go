@@ -169,9 +169,17 @@ func (kb *KB) AllConflicts() ([]*conflict.Conflict, *chase.Result, error) {
 // exclusively for the call. A non-direct conflict's Facts name derived
 // facts that are gone when it returns; its BaseFacts are base ids.
 func (kb *KB) AllConflictsUnder(parent uint64) ([]*conflict.Conflict, error) {
+	return kb.RescanConflictsUnder(parent, nil, nil)
+}
+
+// RescanConflictsUnder is AllConflictsUnder after a value update of one
+// base fact: prev is the scan's result before the update and affected the
+// update's CDD mask (conflict.Reach.Affected; nil marks every CDD), and
+// only the affected CDDs are searched again (conflict.RescanInPlace).
+func (kb *KB) RescanConflictsUnder(parent uint64, prev []*conflict.Conflict, affected []bool) ([]*conflict.Conflict, error) {
 	opts := kb.ChaseOpts
 	opts.TraceParent = parent
-	return conflict.AllInPlace(kb.Facts, kb.TGDs, kb.CDDs, opts)
+	return conflict.RescanInPlace(kb.Facts, kb.TGDs, kb.CDDs, opts, prev, affected)
 }
 
 // NaiveConflicts computes allconflicts_naive(K) on the base facts only.

@@ -73,7 +73,8 @@ func RunAblationPiRep(seed int64) (*AblationResult, error) {
 }
 
 // RunAblationIncremental measures the effect of incremental conflict
-// maintenance (UpdateConflicts) vs. from-scratch recomputation.
+// maintenance (UpdateConflicts in phase one, re-scans of only the CDDs an
+// answer reaches in phase two) vs. from-scratch recomputation.
 func RunAblationIncremental(seed int64) (*AblationResult, error) {
 	kb, err := ablationKB(seed)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
+	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
@@ -79,8 +80,10 @@ type Options struct {
 	TrackConflictSeries bool
 	// DisablePiRepOpt turns off the Π-RepOpt fast path (ablation).
 	DisablePiRepOpt bool
-	// DisableIncremental recomputes naive conflicts from scratch after
-	// each answer instead of using UpdateConflicts (ablation).
+	// DisableIncremental recomputes conflicts from scratch after each
+	// answer (ablation): naive conflicts instead of using UpdateConflicts
+	// in phase one, and every CDD's chase-level conflicts instead of only
+	// those the answer can affect in phase two and RunBasic.
 	DisableIncremental bool
 }
 
@@ -92,6 +95,8 @@ type Round struct {
 	QuestionSize int
 	// Answer is the fix the user chose.
 	Answer core.Fix
+	// Replaced is the value Answer overwrote at Answer.Pos.
+	Replaced logic.Term
 	// ConflictsBefore is the size of the conflict set the question was
 	// drawn from (naive conflicts in phase 1, chase conflicts in phase 2).
 	ConflictsBefore int
@@ -174,6 +179,11 @@ type Engine struct {
 	propagated core.Pi
 	// rank is the current question's ranking state (see beginQuestion).
 	rank ranking
+	// reach maps an answered fact's predicate to the CDDs a chase-level
+	// re-scan searches again (see rescan); built on the first re-scan.
+	reach *conflict.Reach
+	// rescanned, when set (tests only), sees every re-scan's result.
+	rescanned func([]*conflict.Conflict)
 }
 
 // New builds an engine. A nil strategy defaults to Random; a nil user is an
@@ -304,7 +314,8 @@ func (e *Engine) ask(strat Strategy, cs []*conflict.Conflict, x *conflict.Confli
 	if !q.Contains(f) {
 		return nil, Round{}, fmt.Errorf("user chose %s, which is not in the question", f)
 	}
-	if _, err := e.KB.Facts.SetValue(f.Pos, f.Value); err != nil {
+	replaced, err := e.KB.Facts.SetValue(f.Pos, f.Value)
+	if err != nil {
 		return nil, Round{}, err
 	}
 	e.Pi.Add(f.Pos)
@@ -313,10 +324,32 @@ func (e *Engine) ask(strat Strategy, cs []*conflict.Conflict, x *conflict.Confli
 		Phase:           phase,
 		QuestionSize:    len(fixes),
 		Answer:          f,
+		Replaced:        replaced,
 		ConflictsBefore: len(cs),
 		SeriesConflicts: -1,
 		Delay:           delay,
 	}, nil
+}
+
+// rescan returns allconflicts(K) after the answer rd, given cs, the
+// conflicts before it: only the CDDs the answered fact's predicate can
+// affect are searched again (conflict.Reach), unless the DisableIncremental
+// ablation asks for every CDD. The result equals a fresh
+// KB.AllConflictsUnder. parent is the trace span the scan hangs under.
+func (e *Engine) rescan(parent uint64, cs []*conflict.Conflict, rd Round) ([]*conflict.Conflict, error) {
+	var affected []bool
+	if !e.Opts.DisableIncremental {
+		if e.reach == nil {
+			e.reach = conflict.NewReach(e.KB.TGDs, e.KB.CDDs)
+		}
+		pred := e.KB.Facts.FactRef(rd.Answer.Pos.Fact).Pred
+		affected = e.reach.Affected(pred, rd.Replaced, rd.Answer.Value)
+	}
+	after, err := e.KB.RescanConflictsUnder(parent, cs, affected)
+	if err == nil && e.rescanned != nil {
+		e.rescanned(after)
+	}
+	return after, err
 }
 
 // endQuestion closes a question span with the round's summary attributes.
@@ -403,16 +436,9 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	sessionStart(res.Strategy, e.KB.Facts.Len(), res.InitialNaive, res.InitialTotal)
 
-	record := func(rd Round, f core.Fix, parent uint64) error {
-		if e.Opts.TrackConflictSeries {
-			cs, err := e.KB.AllConflictsUnder(parent)
-			if err != nil {
-				return err
-			}
-			rd.SeriesConflicts = len(cs)
-		}
+	record := func(rd Round) error {
 		res.Rounds = append(res.Rounds, rd)
-		res.AppliedFixes = append(res.AppliedFixes, f)
+		res.AppliedFixes = append(res.AppliedFixes, rd.Answer)
 		if len(res.Rounds) > e.maxQuestions() {
 			return fmt.Errorf("inquiry: exceeded %d questions", e.maxQuestions())
 		}
@@ -439,7 +465,15 @@ func (e *Engine) Run() (*Result, error) {
 			tracker.UpdateUnder(qsp.ID(), rd.Answer.Pos.Fact)
 		}
 		e.Strategy.AfterAnswer(e, tracker.Conflicts(), x, offered, rd.Answer)
-		if err := record(rd, rd.Answer, qsp.ID()); err != nil {
+		if e.Opts.TrackConflictSeries {
+			all, err := e.KB.AllConflictsUnder(qsp.ID())
+			if err != nil {
+				qsp.End()
+				return res, err
+			}
+			rd.SeriesConflicts = len(all)
+		}
+		if err := record(rd); err != nil {
 			qsp.End()
 			return res, err
 		}
@@ -470,13 +504,16 @@ func (e *Engine) Run() (*Result, error) {
 			qsp.End()
 			return res, err
 		}
-		after, err := e.KB.AllConflictsUnder(qsp.ID())
+		after, err := e.rescan(qsp.ID(), cs, rd)
 		if err != nil {
 			qsp.End()
 			return res, err
 		}
 		e.Strategy.AfterAnswer(e, after, x, offered, rd.Answer)
-		if err := record(rd, rd.Answer, qsp.ID()); err != nil {
+		if e.Opts.TrackConflictSeries {
+			rd.SeriesConflicts = len(after)
+		}
+		if err := record(rd); err != nil {
 			qsp.End()
 			return res, err
 		}
@@ -569,7 +606,7 @@ func (e *Engine) RunBasic() (*Result, error) {
 			qsp.End()
 			return res, fmt.Errorf("inquiry: exceeded %d questions", e.maxQuestions())
 		}
-		after, err := e.KB.AllConflictsUnder(qsp.ID())
+		after, err := e.rescan(qsp.ID(), cs, rd)
 		if err != nil {
 			qsp.End()
 			return res, err

@@ -1,10 +1,11 @@
 // Package par provides the worker pool of kbrepair's one parallel site:
 // conflict detection, which runs one independent homomorphism search per CDD
 // (conflict.scan, in AllNaive and in the chase-level scan behind All). It
-// pays on a store's first scan, which covers every fact; everything else
-// in the pipeline — the chase, the incremental tracker, ranking, fix
-// generation and the Π-checks — runs sequentially on the caller's
-// goroutine.
+// pays on a store's first scan, which searches every CDD; a re-scan after
+// a value update (conflict.RescanInPlace) fans out over only the CDDs the
+// update can reach. Everything else in the pipeline — the chase, the
+// incremental tracker, ranking, fix generation and the Π-checks — runs
+// sequentially on the caller's goroutine.
 //
 // Design rules, enforced by the caller:
 //

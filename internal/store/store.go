@@ -530,6 +530,12 @@ func CoordNullLabel(round, rule, trig, ex int) string {
 	return string(b)
 }
 
+// IsCoordNull reports whether t has the shape of a chase-invented null
+// (CoordNullLabel, escaped or not): a null whose label starts with 'n'.
+func IsCoordNull(t logic.Term) bool {
+	return t.IsNull() && strings.HasPrefix(t.Name, "n")
+}
+
 // NullForPos returns the fresh existential variable uniquely attributed to
 // position p (Def. 3.1): the null labeled "f<fact>a<arg>", escaped against
 // the store's contents. It only reads the store, so it is safe under the
