@@ -223,7 +223,7 @@ func BenchmarkChase(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chase.Run(kb.Facts, kb.TGDs, kb.ChaseOpts); err != nil {
+		if _, err := chase.Run(kb.Facts, kb.Rules, kb.ChaseOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func BenchmarkConflictDetection(b *testing.B) {
 	kb := synthKB(b, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts); err != nil {
+		if _, _, err := conflict.All(kb.Facts, kb.Rules, kb.ChaseOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func BenchmarkConflictDetection(b *testing.B) {
 // position update.
 func BenchmarkUpdateConflicts(b *testing.B) {
 	kb := synthKB(b, 0)
-	tr := conflict.NewTracker(kb.Facts, kb.CDDs)
+	tr := conflict.NewTracker(kb.Facts, kb.Rules)
 	pos := core.Position{Fact: 0, Arg: 0}
 	vals := kb.Facts.ActiveDomain(kb.Facts.FactRef(0).Pred, 0)
 	b.ResetTimer()
@@ -291,7 +291,7 @@ func BenchmarkSoundQuestion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := conflict.AllNaive(kb.Facts, kb.CDDs)
+	cs := conflict.AllNaive(kb.Facts, kb.Rules)
 	if len(cs) == 0 {
 		b.Fatal("no conflicts")
 	}

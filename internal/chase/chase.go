@@ -48,21 +48,12 @@ var (
 
 // Per-TGD attribution families: which rule is checking, firing and deriving
 // (see internal/obs/attr). IDs are content-addressed by the rule's
-// canonical string and cached by rule pointer.
+// canonical string and interned when the rule is compiled (NewRules).
 var (
 	attrTriggers = attr.NewCounterVec(attr.FamTriggerChecks)
 	attrFirings  = attr.NewCounterVec(attr.FamRuleFirings)
 	attrDerived  = attr.NewCounterVec(attr.FamFactsDerived)
 )
-
-// ruleAttrID resolves (and caches) the attribution ID of a rule. Cold path:
-// called once per rule per round, only when attribution is enabled.
-func ruleAttrID(r *logic.TGD) attr.ID {
-	if id, ok := attr.OwnerID(r); ok {
-		return id
-	}
-	return attr.BindOwner(r, r.String())
-}
 
 // ErrBudget is returned when the chase exceeds its safety budget. On a
 // weakly-acyclic rule set this indicates a budget set too low; on arbitrary
@@ -208,107 +199,15 @@ func (o Options) maxRounds() int {
 	return o.MaxRounds
 }
 
-// PrecompilePlans warms the plan caches of the rules — TGD bodies, their
-// pinned delta plans (body minus one atom, homo.PinnedPlan) and TGD heads
-// (seed-specialized on the frontier variables, which every head check
-// binds), and the same rows of the CDDs' ⊥-rules, whose body and pinned
-// plans are the CDDs' own (shared with conflict detection and the
-// tracker) — against a representative store.
-//
-// The join order of a plan binds at its first compile, so a caller runs this
-// before the first search that would compile a plan as a side effect against
-// some other store: the Π-checker calls it so that every plan binds against
-// the base facts, not against the Π-nulled instance, or the chased store of
-// a chase-level conflict scan, that happens to run first.
-func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
-	compileRules(tgds, cdds, base)
-}
-
-// rule is one TGD compiled for the chase: the invariants the round loop
-// reads per trigger, resolved once per rule (compiledRule).
-type rule struct {
-	tgd *logic.TGD
-	// front and exist are the frontier and existential variables (the TGD
-	// methods compute fresh slices on every call).
-	front, exist []logic.Term
-	// body enumerates the triggers of a full round; pinned[i] is the body
-	// minus atom i (homo.PinnedPlan), searched after pinning atom i onto a
-	// delta fact — nil for a one-atom body, whose pinned atom is the whole
-	// match; head is the applicability check, seed-specialized on the
-	// frontier variables every check binds.
-	body, head *homo.Plan
-	pinned     []*homo.Plan
-}
-
-// ruleKey is the key of a rule's compiled row in its owner's memo.
-type ruleKey struct{}
-
-// compiledRule returns the compiled row of t, building it on first use and
-// caching it in owner's memo — t itself, or the CDD of a ⊥-rule, whose
-// body is the CDD's, so its body and pinned plans are cached on the CDD and
-// shared with conflict detection and the tracker's pins. stats binds the
-// join order of plans not compiled before.
-func compiledRule(t *logic.TGD, owner homo.Owner, stats *store.Store) *rule {
-	if v, ok := owner.Memo().Load(ruleKey{}); ok {
-		return v.(*rule)
-	}
-	r := &rule{tgd: t, front: t.FrontierVars(), exist: t.ExistentialVars()}
-	r.body = homo.CachedPlanWith(homo.CacheKey{Owner: owner, Tag: homo.TagBody}, t.Body,
-		homo.CompileOpts{Stats: stats})
-	r.head = homo.CachedPlanWith(homo.CacheKey{Owner: owner, Tag: homo.TagHead}, t.Head,
-		homo.CompileOpts{Stats: stats, Prebound: r.front})
-	r.pinned = make([]*homo.Plan, len(t.Body))
-	if len(t.Body) > 1 {
-		for ai := range t.Body {
-			r.pinned[ai] = homo.PinnedPlan(owner, t.Body, ai, stats)
-		}
-	}
-	v, _ := owner.Memo().LoadOrStore(ruleKey{}, r)
-	return v.(*rule)
-}
-
-// ruleSet is a TGD list compiled for the chase, one rule per TGD in order.
-// Run and IsConsistentOpt build one per call; a Checker keeps one for as
-// long as it lives. Immutable once built, so concurrent chases may share it.
-type ruleSet struct {
-	rules []*rule
-	// byPred maps a predicate to the ascending indexes of the rules with a
-	// body atom over it: the rules a delta fact of that predicate can
-	// trigger.
-	byPred map[string][]int
-}
-
-// compileRules builds the rule table of tgds followed by the ⊥-rules of
-// cdds, resolving every plan against stats before the chase starts, so no
-// first compile (and so no join order) depends on a mid-chase store.
-func compileRules(tgds []*logic.TGD, cdds []*logic.CDD, stats *store.Store) *ruleSet {
-	bottom := CompileBottom(cdds)
-	rs := &ruleSet{rules: make([]*rule, 0, len(tgds)+len(cdds)), byPred: make(map[string][]int)}
-	for _, t := range tgds {
-		rs.rules = append(rs.rules, compiledRule(t, t, stats))
-	}
-	for i, c := range cdds {
-		rs.rules = append(rs.rules, compiledRule(bottom[i], c, stats))
-	}
-	for i, r := range rs.rules {
-		for _, a := range r.tgd.Body {
-			if ps := rs.byPred[a.Pred]; len(ps) == 0 || ps[len(ps)-1] != i {
-				rs.byPred[a.Pred] = append(ps, i)
-			}
-		}
-	}
-	return rs
-}
-
-// Run computes the restricted chase of the base store under the given TGDs.
+// Run computes the restricted chase of the base store under the TGDs of rs.
 // The base store is not modified; the result store is a clone extended with
 // derived facts. A trigger (rule, body homomorphism) fires only if the head
 // is not already satisfied by an extension of the frontier bindings — the
 // standard-chase applicability condition that guarantees termination on
 // weakly-acyclic rule sets.
-func Run(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
+func Run(base *store.Store, rs *Rules, opts Options) (*Result, error) {
 	// Callers keep the result store, so the chase extends a clone.
-	return run(base.Clone(), tgds, opts, "")
+	return runRules(base.Clone(), rs.table, delta{}, opts, "")
 }
 
 // RunInPlace is Run on s itself: derived facts are appended to s, which
@@ -317,14 +216,8 @@ func Run(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
 // length before the call, on every exit (ErrBudget and a firing error leave
 // what was derived so far). RunInPlace is a writer under the store's
 // concurrency contract: the caller holds s exclusively for the call.
-func RunInPlace(s *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
-	return run(s, tgds, opts, "")
-}
-
-// run chases base in place under tgds, compiled for this call (see
-// runRules).
-func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
-	return runRules(base, compileRules(tgds, nil, base), delta{}, opts, abortPred)
+func RunInPlace(s *store.Store, rs *Rules, opts Options) (*Result, error) {
+	return runRules(s, rs.table, delta{}, opts, "")
 }
 
 // delta is the set of facts every trigger of a chase round must use: the
@@ -483,13 +376,9 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 			if len(perRule[ri]) == 0 {
 				continue
 			}
-			var rid attr.ID
-			if attr.Enabled() {
-				rid = ruleAttrID(r.tgd)
-			}
 			for ti, m := range perRule[ri] {
 				mTriggers.Inc()
-				attrTriggers.Add(rid, 1)
+				attrTriggers.Add(r.aid, 1)
 				frontier := m.Subst.Restrict(r.front)
 				if r.head.ExistsSeeded(s, frontier) {
 					continue
@@ -500,7 +389,7 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 					return res, ErrBudget
 				}
 				mFirings.Inc()
-				attrFirings.Add(rid, 1)
+				attrFirings.Add(r.aid, 1)
 				mNulls.Add(int64(len(r.exist)))
 				ids, err := s.AddBatch(r.instantiate(s, frontier, res.Rounds, ri, ti))
 				if err != nil {
@@ -510,7 +399,7 @@ func chaseLoop(s *store.Store, rs *ruleSet, d delta, opts Options, abortPred str
 				}
 				firings++
 				mDerived.Add(int64(len(ids)))
-				attrDerived.Add(rid, int64(len(ids)))
+				attrDerived.Add(r.aid, int64(len(ids)))
 				for i, id := range ids {
 					res.Prov[id] = Derivation{Rule: r.tgd, Parents: m.Facts, HeadIdx: i}
 					derived++
@@ -649,14 +538,13 @@ func collectDelta(s *store.Store, r *rule, d delta) []homo.Match {
 // IsConsistentNaive runs the full chase and then evaluates every CDD body on
 // the chased store — the paper's CheckConsistency. It returns whether the KB
 // is consistent.
-func IsConsistentNaive(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
-	res, err := Run(base, tgds, opts)
+func IsConsistentNaive(base *store.Store, rs *Rules, opts Options) (bool, error) {
+	res, err := Run(base, rs, opts)
 	if err != nil {
 		return false, err
 	}
-	for _, c := range cdds {
-		if homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: res.Store}).Exists(res.Store) {
+	for _, c := range rs.CDD {
+		if c.Body.Exists(res.Store) {
 			return false, nil
 		}
 	}
@@ -668,90 +556,15 @@ func IsConsistentNaive(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, 
 // identifier.
 const BottomPred = "⊥"
 
-// bottomKey is the key of a CDD's ⊥-rule in the CDD's memo.
-type bottomKey struct{}
-
-// CompileBottom turns CDDs into TGDs with head ⊥() so that the chase itself
-// detects inconsistency (CheckConsistency-Opt, §5). The returned rules are
-// memoized in each CDD's memo: repeated calls yield pointer-identical TGDs,
-// which derivations and per-rule attribution name.
-func CompileBottom(cdds []*logic.CDD) []*logic.TGD {
-	out := make([]*logic.TGD, len(cdds))
-	for i, c := range cdds {
-		if v, ok := c.Memo().Load(bottomKey{}); ok {
-			out[i] = v.(*logic.TGD)
-			continue
-		}
-		t := &logic.TGD{
-			Label: "⊥:" + c.Label,
-			Body:  append([]logic.Atom(nil), c.Body...),
-			Head:  []logic.Atom{logic.NewAtom(BottomPred)},
-		}
-		v, _ := c.Memo().LoadOrStore(bottomKey{}, t)
-		out[i] = v.(*logic.TGD)
-	}
-	return out
-}
-
-// RelevantTGDs returns the TGDs that can (transitively) contribute to a
-// CDD violation: starting from the predicates in CDD bodies, a TGD is
-// relevant if its head mentions a relevant predicate, and then its body
-// predicates become relevant too. Facts derived by irrelevant TGDs can
-// never appear in — or feed a derivation that appears in — a CDD-body
-// homomorphism, so consistency checking and conflict detection may safely
-// chase only the relevant rules. The result preserves input order.
-func RelevantTGDs(tgds []*logic.TGD, cdds []*logic.CDD) []*logic.TGD {
-	relevant := make(map[string]bool)
-	for _, c := range cdds {
-		for _, a := range c.Body {
-			relevant[a.Pred] = true
-		}
-	}
-	selected := make([]bool, len(tgds))
-	for changed := true; changed; {
-		changed = false
-		for i, t := range tgds {
-			if selected[i] {
-				continue
-			}
-			hit := false
-			for _, h := range t.Head {
-				if relevant[h.Pred] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			selected[i] = true
-			changed = true
-			for _, b := range t.Body {
-				if !relevant[b.Pred] {
-					relevant[b.Pred] = true
-				}
-			}
-		}
-	}
-	out := make([]*logic.TGD, 0, len(tgds))
-	for i, t := range tgds {
-		if selected[i] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // IsConsistentOpt is CheckConsistency-Opt: it chases with CDDs compiled to
 // ⊥-rules — restricted to the TGDs relevant to the CDDs — and stops as
-// early as possible. It returns whether the KB is consistent. It compiles a
-// Checker for the one call; callers checking many stores under the same
-// rules keep one (see Checker.Consistent for the in-place contract).
-func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
-	return NewChecker(tgds, cdds, base).Consistent(base, opts)
+// early as possible. It returns whether the KB is consistent (see
+// Checker.Consistent for the in-place contract).
+func IsConsistentOpt(base *store.Store, rs *Rules, opts Options) (bool, error) {
+	return NewChecker(rs).Consistent(base, opts)
 }
 
-// Checker is CheckConsistency-Opt compiled once for a rule set: the CDD
+// Checker is CheckConsistency-Opt over a compiled rule set: the CDD
 // bodies, for the check that needs no chase, and the chase table of the
 // TGDs relevant to the CDDs followed by the CDDs' ⊥-rules. Besides the
 // one-shot check it offers saturate-then-continue checking: Saturate chases
@@ -761,17 +574,14 @@ func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, op
 // the rewritten facts. Immutable, so concurrent checks on distinct stores
 // may share it.
 type Checker struct {
-	// rules is the relevant TGDs — the first tgds rules — followed by the
-	// CDDs' ⊥-rules, whose body plans are the CDD bodies.
-	tgds  int
-	rules *ruleSet
+	rs *Rules
+	// tgds is the number of relevant TGDs, the first rules of rs.check.
+	tgds int
 }
 
-// NewChecker compiles the check. stats binds the join order of plans not
-// compiled before (see PrecompilePlans).
-func NewChecker(tgds []*logic.TGD, cdds []*logic.CDD, stats *store.Store) *Checker {
-	tgds = RelevantTGDs(tgds, cdds)
-	return &Checker{tgds: len(tgds), rules: compileRules(tgds, cdds, stats)}
+// NewChecker returns the check of the rule set.
+func NewChecker(rs *Rules) *Checker {
+	return &Checker{rs: rs, tgds: len(rs.relevant.table.rules)}
 }
 
 // HasTGDs reports whether a TGD is relevant to the CDDs — whether Saturate
@@ -783,26 +593,19 @@ func (c *Checker) HasTGDs() bool { return c.tgds > 0 }
 // on the fact id — whether s has a violation that uses that fact, found by
 // pinning each body atom onto it as delta collection does.
 func (c *Checker) ViolatedAt(s *store.Store, id store.FactID) bool {
-	a := s.FactRef(id)
-	for _, ri := range c.rules.byPred[a.Pred] {
-		if ri < c.tgds {
-			continue
-		}
-		r := c.rules.rules[ri]
-		for ai, ba := range r.tgd.Body {
-			seed, ok := homo.BindAtom(ba, a)
-			if ok && (r.pinned[ai] == nil || r.pinned[ai].ExistsSeeded(s, seed)) {
-				return true
-			}
-		}
-	}
-	return false
+	violated := false
+	c.rs.EachPinned(s.FactRef(id), func(ci, ai int, seed logic.Subst) bool {
+		r := c.rs.CDD[ci]
+		violated = len(r.CDD.Body) == 1 || r.Pinned[ai].ExistsSeeded(s, seed)
+		return !violated
+	})
+	return violated
 }
 
 // violatedAsIs reports whether a CDD body maps into s without chasing.
 func (c *Checker) violatedAsIs(s *store.Store) bool {
-	for i := c.tgds; i < len(c.rules.rules); i++ {
-		if c.rules.rules[i].body.Exists(s) {
+	for _, r := range c.rs.CDD {
+		if r.Body.Exists(s) {
 			return true
 		}
 	}
@@ -834,7 +637,7 @@ func (c *Checker) Consistent(s *store.Store, opts Options) (bool, error) {
 // chase runs the ⊥-aborting chase on s from the delta d and reports
 // whether it ended without deriving ⊥.
 func (c *Checker) chase(s *store.Store, d delta, opts Options) (bool, error) {
-	res, err := runRules(s, c.rules, d, opts, BottomPred)
+	res, err := runRules(s, c.rs.check, d, opts, BottomPred)
 	if err != nil {
 		return false, err
 	}
@@ -918,8 +721,8 @@ func (c *Checker) ConsistentWith(s *store.Store, a logic.Atom, opts Options) (bo
 // distinguished variables answVars) over the KB (F, ΣT): it chases F and
 // evaluates the query on the result, keeping only the all-constant tuples —
 // the paper's Q(F, ΣT).
-func Answers(base *store.Store, tgds []*logic.TGD, body []logic.Atom, answVars []logic.Term, opts Options) ([][]logic.Term, error) {
-	res, err := Run(base, tgds, opts)
+func Answers(base *store.Store, rs *Rules, body []logic.Atom, answVars []logic.Term, opts Options) ([][]logic.Term, error) {
+	res, err := Run(base, rs, opts)
 	if err != nil {
 		return nil, err
 	}

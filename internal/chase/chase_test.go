@@ -45,7 +45,7 @@ func fig1b(t testing.TB) (*store.Store, []*logic.TGD, []*logic.CDD) {
 
 func TestChaseExample21(t *testing.T) {
 	s, tgds, _ := fig1b(t)
-	res, err := Run(s, tgds, Options{})
+	res, err := Run(s, NewRules(tgds, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRestrictedChaseDoesNotRefire(t *testing.T) {
 		[]logic.Atom{logic.NewAtom("p", logic.V("X"))},
 		[]logic.Atom{logic.NewAtom("q", logic.V("X"), logic.V("Z"))},
 	)
-	res, err := Run(s, []*logic.TGD{r}, Options{})
+	res, err := Run(s, NewRules([]*logic.TGD{r}, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRestrictedChaseDoesNotRefire(t *testing.T) {
 	if q.Pred != "q" || q.Args[0] != logic.C("a") || !q.Args[1].IsNull() {
 		t.Errorf("derived %v", q)
 	}
-	res2, err := Run(res.Store, []*logic.TGD{r}, Options{})
+	res2, err := Run(res.Store, NewRules([]*logic.TGD{r}, nil, res.Store), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestChaseHeadAlreadySatisfied(t *testing.T) {
 		[]logic.Atom{logic.NewAtom("p", logic.V("X"))},
 		[]logic.Atom{logic.NewAtom("q", logic.V("X"), logic.V("Z"))},
 	)
-	res, err := Run(s, []*logic.TGD{r}, Options{})
+	res, err := Run(s, NewRules([]*logic.TGD{r}, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestChaseMultiRound(t *testing.T) {
 			[]logic.Atom{logic.NewAtom("r", logic.V("X"))},
 		),
 	}
-	res, err := Run(s, rules, Options{})
+	res, err := Run(s, NewRules(rules, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestChaseMultiAtomHead(t *testing.T) {
 			logic.NewAtom("soybean", logic.V("X3")),
 		},
 	)
-	res, err := Run(s, []*logic.TGD{r}, Options{})
+	res, err := Run(s, NewRules([]*logic.TGD{r}, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestChaseBudget(t *testing.T) {
 		[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
 		[]logic.Atom{logic.NewAtom("p", logic.V("Y"), logic.V("Z"))},
 	)
-	_, err := Run(s, []*logic.TGD{r}, Options{MaxDerived: 50})
+	_, err := Run(s, NewRules([]*logic.TGD{r}, nil, s), Options{MaxDerived: 50})
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want budget error", err)
 	}
@@ -214,11 +214,12 @@ func TestChaseBudget(t *testing.T) {
 
 func TestIsConsistent(t *testing.T) {
 	s, tgds, cdds := fig1b(t)
-	for name, check := range map[string]func(*store.Store, []*logic.TGD, []*logic.CDD, Options) (bool, error){
+	rs := NewRules(tgds, cdds, s)
+	for name, check := range map[string]func(*store.Store, *Rules, Options) (bool, error){
 		"naive": IsConsistentNaive,
 		"opt":   IsConsistentOpt,
 	} {
-		ok, err := check(s, tgds, cdds, Options{})
+		ok, err := check(s, rs, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -230,11 +231,11 @@ func TestIsConsistent(t *testing.T) {
 	s2 := s.Clone()
 	s2.MustSetValue(store.Position{Fact: 1, Arg: 0}, logic.C("Mike")) // hasAllergy(Mike, Aspirin)
 	s2.MustSetValue(store.Position{Fact: 3, Arg: 0}, logic.C("Mary")) // hasPain(Mary, Migraine): TGD now prescribes Nsaids to Mary — no incompatibility with John's Aspirin
-	for name, check := range map[string]func(*store.Store, []*logic.TGD, []*logic.CDD, Options) (bool, error){
+	for name, check := range map[string]func(*store.Store, *Rules, Options) (bool, error){
 		"naive": IsConsistentNaive,
 		"opt":   IsConsistentOpt,
 	} {
-		ok, err := check(s2, tgds, cdds, Options{})
+		ok, err := check(s2, rs, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -265,11 +266,11 @@ func TestConsistencyChecksAgreeOnChaseOnlyConflict(t *testing.T) {
 		logic.NewAtom("prescribed", logic.V("Y"), logic.V("Z")),
 		logic.NewAtom("incompatible", logic.V("X"), logic.V("Y")),
 	})}
-	okN, err := IsConsistentNaive(s, tgds, cdds, Options{})
+	okN, err := IsConsistentNaive(s, NewRules(tgds, cdds, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	okO, err := IsConsistentOpt(s, tgds, cdds, Options{})
+	okO, err := IsConsistentOpt(s, NewRules(tgds, cdds, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +283,21 @@ func TestCompileBottom(t *testing.T) {
 	cdds := []*logic.CDD{logic.MustCDD([]logic.Atom{
 		logic.NewAtom("p", logic.V("X"), logic.V("X")),
 	})}
-	rules := CompileBottom(cdds)
-	if len(rules) != 1 || rules[0].Head[0].Pred != BottomPred {
-		t.Fatalf("CompileBottom = %v", rules)
+	s := store.MustFromAtoms([]logic.Atom{logic.NewAtom("p", logic.C("a"), logic.C("a"))})
+	rs := NewRules(nil, cdds, s)
+	bottom := rs.CDD[0].Bottom
+	if len(rs.check.rules) != 1 || rs.check.rules[0].tgd != bottom || bottom.Head[0].Pred != BottomPred {
+		t.Fatalf("⊥ rows = %v, want the one ⊥-rule %v", rs.check.rules, bottom)
 	}
-	if err := rules[0].Validate(); err != nil {
+	if err := bottom.Validate(); err != nil {
 		t.Errorf("compiled rule invalid: %v", err)
+	}
+	// The ⊥-rule searches with the CDD's own plans.
+	if r := rs.check.rules[0]; r.body != rs.CDD[0].Body || r.pinned[0] != rs.CDD[0].Pinned[0] {
+		t.Error("⊥ row does not share the CDD's body and pinned plans")
+	}
+	if ok, err := IsConsistentOpt(s, rs, Options{}); ok || err != nil {
+		t.Errorf("IsConsistentOpt = %v, %v on a violating store, want false, nil", ok, err)
 	}
 }
 
@@ -296,7 +306,7 @@ func TestAnswers(t *testing.T) {
 	// Q(W) :- prescribed(W, John): certain answers must include the derived
 	// Nsaids prescription.
 	body := []logic.Atom{logic.NewAtom("prescribed", logic.V("W"), logic.C("John"))}
-	ans, err := Answers(s, tgds, body, []logic.Term{logic.V("W")}, Options{})
+	ans, err := Answers(s, NewRules(tgds, nil, s), body, []logic.Term{logic.V("W")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +326,7 @@ func TestAnswersFilterNulls(t *testing.T) {
 		[]logic.Atom{logic.NewAtom("p", logic.V("X"))},
 		[]logic.Atom{logic.NewAtom("q", logic.V("X"), logic.V("Z"))},
 	)
-	ans, err := Answers(s, []*logic.TGD{tg},
+	ans, err := Answers(s, NewRules([]*logic.TGD{tg}, nil, s),
 		[]logic.Atom{logic.NewAtom("q", logic.V("X"), logic.V("Y"))},
 		[]logic.Term{logic.V("Y")}, Options{})
 	if err != nil {
@@ -329,11 +339,12 @@ func TestAnswersFilterNulls(t *testing.T) {
 
 func TestChaseDeterministicOnCopies(t *testing.T) {
 	s, tgds, _ := fig1b(t)
-	r1, err := Run(s, tgds, Options{})
+	rs := NewRules(tgds, nil, s)
+	r1, err := Run(s, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(s.Clone(), tgds, Options{})
+	r2, err := Run(s.Clone(), rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +377,7 @@ func TestBottomOptimizationStopsEarly(t *testing.T) {
 		logic.NewAtom("seed", logic.V("X")),
 		logic.NewAtom("bad", logic.V("X")),
 	})}
-	ok, err := IsConsistentOpt(s, tgds, cdds, Options{})
+	ok, err := IsConsistentOpt(s, NewRules(tgds, cdds, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +412,7 @@ func TestExplain(t *testing.T) {
 			Body: []logic.Atom{logic.NewAtom("q", logic.V("X"))},
 			Head: []logic.Atom{logic.NewAtom("r", logic.V("X"))}},
 	}
-	res, err := Run(s, rules, Options{})
+	res, err := Run(s, NewRules(rules, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +434,7 @@ func TestExplain(t *testing.T) {
 	}
 	// Unlabeled rules fall back to the rule text.
 	rules[0].Label = ""
-	res2, err := Run(s, rules, Options{})
+	res2, err := Run(s, NewRules(rules, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,13 +519,14 @@ func TestIsConsistentOptRestoresBase(t *testing.T) {
 	}
 	for _, c := range cases {
 		before := c.s.Clone()
-		ok, err := IsConsistentOpt(c.s, c.tgds, c.cdds, c.opts)
+		rs := NewRules(c.tgds, c.cdds, c.s)
+		ok, err := IsConsistentOpt(c.s, rs, c.opts)
 		if !errors.Is(err, c.wantErr) || (err == nil && ok != c.want) {
 			t.Fatalf("%s: IsConsistentOpt = %v, %v; want %v, %v", c.exit, ok, err, c.want, c.wantErr)
 		}
 		sameStore(t, c.exit, c.s, before)
 		// A second check on the restored store agrees with the first.
-		if ok2, err2 := IsConsistentOpt(c.s, c.tgds, c.cdds, c.opts); ok2 != ok || !errors.Is(err2, c.wantErr) {
+		if ok2, err2 := IsConsistentOpt(c.s, rs, c.opts); ok2 != ok || !errors.Is(err2, c.wantErr) {
 			t.Fatalf("%s: repeat check = %v, %v; first was %v, %v", c.exit, ok2, err2, ok, err)
 		}
 	}

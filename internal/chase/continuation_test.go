@@ -119,11 +119,11 @@ func TestContinuationMatchesFullCheck(t *testing.T) {
 			c := randomContinuationCase(r, g.KB.Facts, tgds, cdds)
 			fixed := c.s.Clone()
 			fixed.MustSetValue(c.p, c.v)
-			want, err := chase.IsConsistentOpt(fixed, tgds, cdds, chase.Options{})
+			want, err := chase.IsConsistentOpt(fixed, chase.NewRules(tgds, cdds, fixed), chase.Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			chk := chase.NewChecker(tgds, cdds, c.s)
+			chk := chase.NewChecker(chase.NewRules(tgds, cdds, c.s))
 			ok, err := chk.Saturate(c.s, chase.Options{})
 			if err != nil {
 				t.Fatalf("%s: saturate: %v", name, err)
@@ -239,7 +239,7 @@ func TestContinueFromMatchesFullCheck(t *testing.T) {
 					nulled = append(nulled, p)
 				}
 			}
-			if ok, err := chase.IsConsistentOpt(i, tgds, cdds, chase.Options{}); err != nil {
+			if ok, err := chase.IsConsistentOpt(i, chase.NewRules(tgds, cdds, i), chase.Options{}); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			} else if ok {
 				break
@@ -284,11 +284,11 @@ func TestContinueFromMatchesFullCheck(t *testing.T) {
 		if len(h) == 0 {
 			return
 		}
-		want, err := chase.IsConsistentOpt(fixed, tgds, cdds, chase.Options{})
+		want, err := chase.IsConsistentOpt(fixed, chase.NewRules(tgds, cdds, fixed), chase.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		chk := chase.NewChecker(tgds, cdds, i)
+		chk := chase.NewChecker(chase.NewRules(tgds, cdds, i))
 		ok, err := chk.Saturate(i, chase.Options{})
 		if err != nil {
 			t.Fatalf("%s: saturate: %v", name, err)
@@ -407,7 +407,7 @@ func TestContinueFromShapes(t *testing.T) {
 		},
 	} {
 		s := store.MustFromAtoms(tc.facts)
-		chk := chase.NewChecker(tc.tgds, tc.cdds, s)
+		chk := chase.NewChecker(chase.NewRules(tc.tgds, tc.cdds, s))
 		ok, err := chk.Saturate(s, chase.Options{})
 		if err != nil || !ok {
 			t.Fatalf("%s: saturation %v, %v", tc.name, ok, err)
@@ -423,7 +423,7 @@ func TestContinueFromShapes(t *testing.T) {
 			}
 			fixed.MustAdd(f)
 		}
-		want, err := chase.IsConsistentOpt(fixed, tc.tgds, tc.cdds, chase.Options{})
+		want, err := chase.IsConsistentOpt(fixed, chase.NewRules(tc.tgds, tc.cdds, fixed), chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestDeltaCollectionMatchesFilter(t *testing.T) {
 			s.MustSetValue(store.Position{Fact: id, Arg: r.Intn(s.Arity(id))}, consts[r.Intn(len(consts))])
 		}
 		lo := store.FactID(1 + r.Intn(s.Len()))
-		rs := compileRules([]*logic.TGD{randomDeltaRule(r, consts)}, nil, s)
+		rs := NewRules([]*logic.TGD{randomDeltaRule(r, consts)}, nil, s).table
 		var want []string
 		for _, m := range collectAll(s, rs.rules[0].body) {
 			if slices.ContainsFunc(m.Facts, func(f store.FactID) bool { return f >= lo }) {

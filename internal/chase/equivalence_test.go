@@ -29,17 +29,20 @@ var synthCases = []synth.Params{
 }
 
 // synthKB generates one table case and returns its store plus the chase
-// rule set: the KB's TGDs followed by the CDDs compiled to ⊥-rules, so the
-// chase also exercises zero-arity heads and rules that share body plans
-// with conflict detection.
-func synthKB(t *testing.T, p synth.Params) (*store.Store, []*logic.TGD) {
+// rule list — the KB's TGDs followed by its CDDs' ⊥-rules, so the chase
+// also exercises zero-arity heads — and that list compiled against the
+// store.
+func synthKB(t *testing.T, p synth.Params) (*store.Store, []*logic.TGD, *chase.Rules) {
 	t.Helper()
 	g, err := synth.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := append(append([]*logic.TGD(nil), g.KB.TGDs...), chase.CompileBottom(g.KB.CDDs)...)
-	return g.KB.Facts, rules
+	rules := append([]*logic.TGD(nil), g.KB.TGDs...)
+	for _, c := range g.KB.Rules.CDD {
+		rules = append(rules, c.Bottom)
+	}
+	return g.KB.Facts, rules, chase.NewRules(rules, nil, g.KB.Facts)
 }
 
 // transcript canonicalizes a chase result byte-for-byte: round count, every
@@ -66,15 +69,15 @@ func TestChaseEquivalenceAcrossWorkersSynth(t *testing.T) {
 	for _, p := range synthCases {
 		t.Run(fmt.Sprintf("seed%d", p.Seed), func(t *testing.T) {
 			setWorkers(t, 1)
-			s, rules := synthKB(t, p)
-			base, err := chase.Run(s, rules, chase.Options{})
+			s, _, rs := synthKB(t, p)
+			base, err := chase.Run(s, rs, chase.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := transcript(base)
 			for _, w := range []int{2, 8} {
 				par.SetWorkers(w)
-				res, err := chase.Run(s, rules, chase.Options{})
+				res, err := chase.Run(s, rs, chase.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,8 +98,8 @@ func TestChaseMatchesSequentialReference(t *testing.T) {
 	setWorkers(t, 8)
 	for _, p := range synthCases {
 		t.Run(fmt.Sprintf("seed%d", p.Seed), func(t *testing.T) {
-			s, rules := synthKB(t, p)
-			res, err := chase.Run(s, rules, chase.Options{})
+			s, rules, rs := synthKB(t, p)
+			res, err := chase.Run(s, rs, chase.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +143,7 @@ func TestChaseNullCoordinateLabels(t *testing.T) {
 	rule := logic.MustTGD(
 		[]logic.Atom{logic.NewAtom("p", logic.V("X"))},
 		[]logic.Atom{logic.NewAtom("q", logic.V("X"), logic.V("Z"))})
-	res, err := chase.Run(s, []*logic.TGD{rule}, chase.Options{})
+	res, err := chase.Run(s, chase.NewRules([]*logic.TGD{rule}, nil, s), chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

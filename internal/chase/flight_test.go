@@ -34,7 +34,7 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 	t.Run("normal", func(t *testing.T) {
 		rec := flight.Enable(256)
 		defer flight.Disable()
-		if _, err := Run(s, tgds, Options{}); err != nil {
+		if _, err := Run(s, NewRules(tgds, nil, s), Options{}); err != nil {
 			t.Fatal(err)
 		}
 		starts, ends, last := roundEvents(t, rec)
@@ -49,7 +49,7 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 	t.Run("rounds-exceeded", func(t *testing.T) {
 		rec := flight.Enable(256)
 		defer flight.Disable()
-		_, err := Run(s, tgds, Options{MaxRounds: 2})
+		_, err := Run(s, NewRules(tgds, nil, s), Options{MaxRounds: 2})
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("err = %v, want ErrBudget", err)
 		}
@@ -65,7 +65,7 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 	t.Run("derived-budget", func(t *testing.T) {
 		rec := flight.Enable(256)
 		defer flight.Disable()
-		_, err := Run(s, tgds, Options{MaxDerived: 1})
+		_, err := Run(s, NewRules(tgds, nil, s), Options{MaxDerived: 1})
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("err = %v, want ErrBudget", err)
 		}
@@ -81,7 +81,7 @@ func TestChaseRoundEventsBalanced(t *testing.T) {
 	t.Run("aborted", func(t *testing.T) {
 		rec := flight.Enable(256)
 		defer flight.Disable()
-		res, err := run(s.Clone(), tgds, Options{}, "p3")
+		res, err := runRules(s.Clone(), NewRules(tgds, nil, s).table, delta{}, Options{}, "p3")
 		if err != nil {
 			t.Fatal(err)
 		}

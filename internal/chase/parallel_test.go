@@ -38,7 +38,7 @@ func diamondResult(t *testing.T) *Result {
 			[]logic.Atom{logic.NewAtom("b", logic.V("X")), logic.NewAtom("c", logic.V("X"))},
 			[]logic.Atom{logic.NewAtom("d", logic.V("X"))}),
 	}
-	res, err := Run(s, tgds, Options{})
+	res, err := Run(s, NewRules(tgds, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,8 @@ func chaseTranscript(res *Result) string {
 func TestChaseDeterministicAcrossWorkers(t *testing.T) {
 	withWorkers(t, 1)
 	s, tgds := deepChainKB(t, 5, 4)
-	base, err := Run(s, tgds, Options{})
+	rs := NewRules(tgds, nil, s)
+	base, err := Run(s, rs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestChaseDeterministicAcrossWorkers(t *testing.T) {
 	want := chaseTranscript(base)
 	for _, w := range []int{2, 8} {
 		par.SetWorkers(w)
-		res, err := Run(s, tgds, Options{})
+		res, err := Run(s, rs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestChaseDeterministicAcrossWorkers(t *testing.T) {
 // stuck on the last run's final round.
 func TestChaseRoundGaugeResets(t *testing.T) {
 	s, tgds := deepChainKB(t, 3, 2)
-	res, err := Run(s, tgds, Options{})
+	res, err := Run(s, NewRules(tgds, nil, s), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

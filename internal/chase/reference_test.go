@@ -38,7 +38,7 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 			}
 		}
 	}
-	rs := compileRules(tgds, nil, s)
+	rs := NewRules(tgds, nil, s).table
 	budget := opts.maxDerived()
 	for lo := store.FactID(0); int(lo) < s.Len(); {
 		res.Rounds++
@@ -62,8 +62,7 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 		for ri, rule := range tgds {
 			frontVars := rule.FrontierVars()
 			existential := rule.ExistentialVars()
-			headPlan := homo.CachedPlanWith(homo.CacheKey{Owner: rule, Tag: homo.TagHead}, rule.Head,
-				homo.CompileOpts{Stats: s, Prebound: frontVars})
+			headPlan := rs.rules[ri].head
 			for _, m := range perRule[ri] {
 				frontier := m.Subst.Restrict(frontVars)
 				// The restricted-chase applicability check against the

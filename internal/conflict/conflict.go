@@ -43,16 +43,6 @@ var (
 	attrPinned = attr.NewCounterVec(attr.FamPinnedScans)
 )
 
-// AttrID resolves (and caches) the attribution ID of a CDD, keyed by its
-// canonical string. Exported because the inquiry engine attributes
-// questions and Π-checks to the CDD whose conflict caused them.
-func AttrID(c *logic.CDD) attr.ID {
-	if id, ok := attr.OwnerID(c); ok {
-		return id
-	}
-	return attr.BindOwner(c, c.String())
-}
-
 // Conflict is one violation of one CDD.
 type Conflict struct {
 	// CDD is the violated dependency; CDDIdx its index in the KB's rule
@@ -82,15 +72,22 @@ type Conflict struct {
 	// key caches Key for conflicts built by a scan, which computes it
 	// anyway to deduplicate; empty for a conflict built elsewhere.
 	key string
+	// rule is the CDD compiled: its pinArgs table and attribution ID.
+	rule *chase.CDDRule
 }
 
-// newConflict builds a conflict of CDD idx with homomorphism hom onto
-// facts, computing its key once.
-func newConflict(cdd *logic.CDD, idx int, hom logic.Subst, facts, baseFacts []store.FactID, direct bool) *Conflict {
-	c := &Conflict{CDD: cdd, CDDIdx: idx, Hom: hom, Facts: facts, BaseFacts: baseFacts, Direct: direct}
+// newConflict builds a conflict of the compiled CDD idx with homomorphism
+// hom onto facts, computing its key once.
+func newConflict(rule *chase.CDDRule, idx int, hom logic.Subst, facts, baseFacts []store.FactID, direct bool) *Conflict {
+	c := &Conflict{CDD: rule.CDD, CDDIdx: idx, Hom: hom, Facts: facts, BaseFacts: baseFacts, Direct: direct, rule: rule}
 	c.key = c.computeKey()
 	return c
 }
+
+// AttrID returns the attribution ID of the conflict's CDD — the inquiry
+// engine attributes questions and Π-checks to the CDD whose conflict
+// caused them.
+func (c *Conflict) AttrID() attr.ID { return c.rule.AID }
 
 // JoinPositions returns, for a direct conflict, the base positions holding
 // a join variable or a constant of the CDD body — exactly the positions
@@ -100,7 +97,7 @@ func (c *Conflict) JoinPositions(s *store.Store) []store.Position {
 	if !c.Direct {
 		return nil
 	}
-	return c.joinPositionsInto(nil, pinArgs(c.CDD))
+	return c.joinPositionsInto(nil)
 }
 
 // rankedPositions computes, into buf's storage, the positions c counts
@@ -110,7 +107,7 @@ func (c *Conflict) JoinPositions(s *store.Store) []store.Position {
 func (c *Conflict) rankedPositions(buf []store.Position, s *store.Store) []store.Position {
 	buf = buf[:0]
 	if c.Direct {
-		buf = c.joinPositionsInto(buf, pinArgs(c.CDD))
+		buf = c.joinPositionsInto(buf)
 	}
 	if len(buf) > 0 {
 		return buf
@@ -118,40 +115,13 @@ func (c *Conflict) rankedPositions(buf []store.Position, s *store.Store) []store
 	return c.positionsInto(buf, s)
 }
 
-// pinArgsKey is the key of a CDD's pinArgs table in the CDD's memo.
-type pinArgsKey struct{}
-
-// pinArgs returns, per body atom of the CDD, the argument indexes whose
-// values pin a homomorphism: the join-variable arguments, then the
-// constant arguments, each ascending. It depends on the CDD alone, so it
-// is computed once and memoized on the CDD, next to its compiled plans.
-// The table is shared: callers do not modify it.
-func pinArgs(cdd *logic.CDD) [][]int {
-	if v, ok := cdd.Memo().Load(pinArgsKey{}); ok {
-		return v.([][]int)
-	}
-	joinArgs := cdd.JoinPositions()
-	out := make([][]int, len(cdd.Body))
-	for i, a := range cdd.Body {
-		out[i] = append(out[i], joinArgs[i]...)
-		// Constant-matched positions also pin the homomorphism.
-		for j, t := range a.Args {
-			if t.IsConst() {
-				out[i] = append(out[i], j)
-			}
-		}
-	}
-	v, _ := cdd.Memo().LoadOrStore(pinArgsKey{}, out)
-	return v.([][]int)
-}
-
 // joinPositionsInto computes the conflict's join positions (see
-// JoinPositions) from the CDD's pinArgs table, each position once, in
-// body-atom then table order, reusing buf's storage. The conflict must be
-// direct.
-func (c *Conflict) joinPositionsInto(buf []store.Position, args [][]int) []store.Position {
+// JoinPositions) from the CDD's pinArgs table (chase.CDDRule.PinArgs), each
+// position once, in body-atom then table order, reusing buf's storage. The
+// conflict must be direct.
+func (c *Conflict) joinPositionsInto(buf []store.Position) []store.Position {
 	out := buf[:0]
-	for i, js := range args {
+	for i, js := range c.rule.PinArgs {
 		for _, j := range js {
 			p := store.Position{Fact: c.Facts[i], Arg: j}
 			if !slices.Contains(out, p) {
@@ -222,26 +192,6 @@ func dedupIDs(ids []store.FactID) []store.FactID {
 	return out
 }
 
-// bodyPlans resolves every CDD's body plan, compiling those not compiled
-// before against stats. Scans call it before their fan-out: a first compile
-// binds the join order from store statistics, and binding must happen at
-// this sequential point, not under whichever worker misses the cache first.
-func bodyPlans(stats *store.Store, cdds []*logic.CDD) []*homo.Plan {
-	plans := make([]*homo.Plan, len(cdds))
-	for i, c := range cdds {
-		plans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: stats})
-	}
-	return plans
-}
-
-// PrecompileBodies binds the body plans of the CDDs not compiled before
-// against base's statistics, as a naive scan of base would. A chase-level
-// scan binds them only after its chase, against the chased store, so a
-// caller whose first scan is AllInPlace and whose later sessions expect
-// plans bound against the base facts calls this first.
-func PrecompileBodies(base *store.Store, cdds []*logic.CDD) { bodyPlans(base, cdds) }
-
 // AllNaive computes allconflicts_naive(K): every homomorphism from every
 // CDD body into the base store, deduplicated by (CDD, homomorphism).
 //
@@ -250,48 +200,47 @@ func PrecompileBodies(base *store.Store, cdds []*logic.CDD) { bodyPlans(base, cd
 // concurrent-read contract of internal/store). Per-CDD results are merged
 // in CDD-index order, and each search enumerates deterministically, so the
 // output is byte-identical to a sequential scan regardless of -workers.
-func AllNaive(base *store.Store, cdds []*logic.CDD) []*Conflict {
-	return AllNaiveUnder(0, base, cdds)
+func AllNaive(base *store.Store, rs *chase.Rules) []*Conflict {
+	return AllNaiveUnder(0, base, rs)
 }
 
 // AllNaiveUnder is AllNaive with the scan's trace span parented under the
 // given span id (0 for a root) — the inquiry engine uses it to attribute
 // detection time to the run or question that triggered the scan. The span
 // is emitted from this goroutine only; the per-CDD workers stay silent.
-func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Conflict {
+func AllNaiveUnder(parent uint64, base *store.Store, rs *chase.Rules) []*Conflict {
 	mScans.Inc()
 	tm := obs.StartTimer()
 	defer mDetectTime.Since(tm)
 	var sp obs.Span
 	if obs.Tracing() {
 		sp = obs.StartSpanUnder(parent, "conflict.scan",
-			obs.Int("cdds", len(cdds)), obs.Bool("naive", true))
+			obs.Int("cdds", len(rs.CDD)), obs.Bool("naive", true))
 	}
-	plans := bodyPlans(base, cdds)
-	perCDD := par.MapNamed("conflict.scan", len(cdds), func(i int) []*Conflict {
-		return scanCDD(base, plans[i], cdds[i], i, nil)
+	perCDD := par.MapNamed("conflict.scan", len(rs.CDD), func(i int) []*Conflict {
+		return scanCDD(base, rs.CDD[i], i, nil)
 	})
 	var out []*Conflict
 	for _, cs := range perCDD {
 		out = append(out, cs...)
 	}
 	mFound.Add(int64(len(out)))
-	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 0, 0)
+	flight.Record(flight.KindConflictScan, int64(len(rs.CDD)), int64(len(out)), 0, 0)
 	if sp.Live() {
 		sp.End(obs.Int("conflicts", len(out)))
 	}
 	return out
 }
 
-// scanCDD enumerates the conflicts of one CDD against s, deduplicated by
+// scanCDD enumerates the conflicts of CDD idx against s, deduplicated by
 // (CDD, homomorphism) — dedup never crosses CDDs because the conflict key
 // starts with the CDD index. When res is non-nil the scan is a chase-level
 // one: base supports come from provenance and Direct only holds when every
 // violating atom is a base fact.
-func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chase.Result) []*Conflict {
+func scanCDD(s *store.Store, rule *chase.CDDRule, idx int, res *chase.Result) []*Conflict {
 	var out []*Conflict
 	seen := make(map[string]bool)
-	plan.ForEach(s, func(m homo.Match) bool {
+	rule.Body.ForEach(s, func(m homo.Match) bool {
 		direct := true
 		baseFacts := m.Facts
 		if res != nil {
@@ -303,7 +252,7 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 			}
 			baseFacts = res.BaseSupportAll(m.Facts)
 		}
-		cf := newConflict(cdd, idx, m.Subst.Clone(), append([]store.FactID(nil), m.Facts...),
+		cf := newConflict(rule, idx, m.Subst.Clone(), append([]store.FactID(nil), m.Facts...),
 			dedupIDs(baseFacts), direct)
 		if !seen[cf.key] {
 			seen[cf.key] = true
@@ -312,7 +261,7 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 		return true
 	})
 	if attr.Enabled() && len(out) > 0 {
-		attrFound.Add(AttrID(cdd), int64(len(out)))
+		attrFound.Add(rule.AID, int64(len(out)))
 	}
 	return out
 }
@@ -320,13 +269,13 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 // All computes allconflicts(K): the chase of the base store is evaluated
 // against every CDD body, and each conflict is annotated with its base
 // support via chase provenance. Only the TGDs relevant to the CDDs are
-// chased (derivations from other rules can never take part in a CDD-body
-// homomorphism). It returns the conflicts together with the chase result
-// they were evaluated on, whose store is a clone of base extended with the
-// derived facts; base itself is not modified.
-func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, *chase.Result, error) {
+// chased (rs.Relevant: derivations from other rules can never take part
+// in a CDD-body homomorphism). It returns the conflicts together with the
+// chase result they were evaluated on, whose store is a clone of base
+// extended with the derived facts; base itself is not modified.
+func All(base *store.Store, rs *chase.Rules, opts chase.Options) ([]*Conflict, *chase.Result, error) {
 	// Callers keep the chase result, so the scan chases a clone.
-	return scan(base.Clone(), tgds, cdds, opts, nil, nil)
+	return scan(base.Clone(), rs, opts, nil, nil)
 }
 
 // AllInPlace returns the conflicts All returns, without copying s: the
@@ -337,8 +286,8 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 // exclusively for the call. The chase result is gone when it returns, and
 // with it the derived facts a non-direct conflict's Facts name (see
 // Conflict.Facts). It is RescanInPlace with every CDD affected.
-func AllInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options) ([]*Conflict, error) {
-	return RescanInPlace(s, tgds, cdds, opts, nil, nil)
+func AllInPlace(s *store.Store, rs *chase.Rules, opts chase.Options) ([]*Conflict, error) {
+	return RescanInPlace(s, rs, opts, nil, nil)
 }
 
 // RescanInPlace returns the conflicts AllInPlace returns after a value
@@ -347,9 +296,9 @@ func AllInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase
 // marks every CDD). It chases s as AllInPlace does but searches only the
 // affected CDDs; every other CDD's conflicts are prev's, the very
 // conflicts its search would return again (DESIGN.md §3).
-func RescanInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, error) {
+func RescanInPlace(s *store.Store, rs *chase.Rules, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, error) {
 	defer s.Truncate(s.Len())
-	cs, _, err := scan(s, tgds, cdds, opts, prev, affected)
+	cs, _, err := scan(s, rs, opts, prev, affected)
 	return cs, err
 }
 
@@ -358,7 +307,7 @@ func RescanInPlace(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts ch
 // from prev (see RescanInPlace; a nil mask searches every CDD and ignores
 // prev): the one chase-level scan behind All (on a clone) and
 // AllInPlace/RescanInPlace (on the caller's store, truncated afterwards).
-func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, *chase.Result, error) {
+func scan(s *store.Store, rs *chase.Rules, opts chase.Options, prev []*Conflict, affected []bool) ([]*Conflict, *chase.Result, error) {
 	mScans.Inc()
 	tm := obs.StartTimer()
 	defer mDetectTime.Since(tm)
@@ -366,8 +315,8 @@ func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Optio
 		prev = nil
 	}
 	// idx lists the CDDs searched, ascending.
-	idx := make([]int, 0, len(cdds))
-	for i := range cdds {
+	idx := make([]int, 0, len(rs.CDD))
+	for i := range rs.CDD {
 		if affected == nil || affected[i] {
 			idx = append(idx, i)
 		}
@@ -384,8 +333,7 @@ func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Optio
 	}
 	// The chase runs over the TGDs relevant to every CDD, searched or not,
 	// so each fact it derives has the same coordinates as in a full scan.
-	tgds = chase.RelevantTGDs(tgds, cdds)
-	res, err := chase.RunInPlace(s, tgds, opts)
+	res, err := chase.RunInPlace(s, rs.Relevant(), opts)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
@@ -393,19 +341,17 @@ func scan(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Optio
 	// Same fan-out shape as AllNaive: one read-only task per searched CDD
 	// over the chased store, merged in CDD-index order. Concurrent tasks
 	// share the chase result's memoized base-support cache, which is
-	// goroutine-safe. Plans resolve sequentially first so order binding
-	// never races.
-	plans := bodyPlans(res.Store, cdds)
+	// goroutine-safe.
 	found := par.MapNamed("conflict.scan", len(idx), func(j int) []*Conflict {
 		i := idx[j]
-		return scanCDD(res.Store, plans[i], cdds[i], i, res)
+		return scanCDD(res.Store, rs.CDD[i], i, res)
 	})
 	out := merge(prev, affected, idx, found)
 	if attr.Enabled() && affected != nil {
 		// A kept conflict counts as found again, as a full scan counts it.
 		for _, c := range out {
 			if !affected[c.CDDIdx] {
-				attrFound.Add(AttrID(c.CDD), 1)
+				attrFound.Add(c.AttrID(), 1)
 			}
 		}
 	}

@@ -42,7 +42,7 @@ func fig1bKB(t testing.TB) (*store.Store, []*logic.TGD, []*logic.CDD) {
 
 func TestAllNaive(t *testing.T) {
 	s, _, cdds := fig1bKB(t)
-	cs := AllNaive(s, cdds)
+	cs := AllNaive(s, chase.NewRules(nil, cdds, s))
 	// Only the allergy CDD is violated at base level (Example 2.4's X1).
 	if len(cs) != 1 {
 		t.Fatalf("naive conflicts = %d, want 1", len(cs))
@@ -67,7 +67,7 @@ func TestAllNaive(t *testing.T) {
 
 func TestAllWithChase(t *testing.T) {
 	s, tgds, cdds := fig1bKB(t)
-	cs, res, err := All(s, tgds, cdds, chase.Options{})
+	cs, res, err := All(s, chase.NewRules(tgds, cdds, s), chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAllDeduplicatesSymmetricHoms(t *testing.T) {
 		logic.NewAtom("p", logic.V("X"), logic.V("Y")),
 		logic.NewAtom("p", logic.V("Y"), logic.V("X")),
 	})}
-	cs := AllNaive(s, cdds)
+	cs := AllNaive(s, chase.NewRules(nil, cdds, s))
 	if len(cs) != 2 {
 		t.Errorf("conflicts = %d, want 2 (one per hom)", len(cs))
 	}
@@ -119,7 +119,7 @@ func TestAllDeduplicatesSymmetricHoms(t *testing.T) {
 
 func TestTrackerInitialAndUpdate(t *testing.T) {
 	s, _, cdds := fig1bKB(t)
-	tr := NewTracker(s, cdds)
+	tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 	if tr.Len() != 1 {
 		t.Fatalf("initial conflicts = %d, want 1", tr.Len())
 	}
@@ -177,10 +177,11 @@ func TestTrackerMatchesRecompute(t *testing.T) {
 			logic.NewAtom("p", logic.V("X"), logic.V("Y")),
 		}),
 	}
-	tr := NewTracker(s, cdds)
+	rs := chase.NewRules(nil, cdds, s)
+	tr := NewTracker(s, rs)
 	check := func(step string) {
 		t.Helper()
-		want := AllNaive(s, cdds)
+		want := AllNaive(s, rs)
 		if tr.Len() != len(want) {
 			t.Fatalf("%s: tracker=%d recompute=%d", step, tr.Len(), len(want))
 		}
@@ -247,7 +248,7 @@ func TestComputeStats(t *testing.T) {
 
 func TestPositionRanks(t *testing.T) {
 	s, _, cdds := fig1bKB(t)
-	tr := NewTracker(s, cdds)
+	tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 	ranks := tr.Degrees()
 	// The single naive conflict involves facts 0 and 1 → 4 ranked positions.
 	if len(ranks) != 4 {

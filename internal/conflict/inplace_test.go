@@ -137,9 +137,9 @@ func TestAllInPlaceRestoresStoreAndMatchesAll(t *testing.T) {
 			} {
 				name := fmt.Sprintf("%s, workers %d, %s", e.name, w, exit.name)
 				before := kb.Facts.Clone()
-				want, res, wantErr := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, exit.opts)
+				want, res, wantErr := conflict.All(kb.Facts, kb.Rules, exit.opts)
 				restored(t, name+" (All)", kb.Facts, before)
-				got, err := conflict.AllInPlace(kb.Facts, kb.TGDs, kb.CDDs, exit.opts)
+				got, err := conflict.AllInPlace(kb.Facts, kb.Rules, exit.opts)
 				if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err != nil && !errors.Is(err, chase.ErrBudget)) {
 					t.Fatalf("%s: AllInPlace error %v, All error %v", name, err, wantErr)
 				}
@@ -192,20 +192,20 @@ func sameTracker(t *testing.T, name string, got, want *conflict.Tracker, s *stor
 func TestNewTrackerOfMatchesNewTracker(t *testing.T) {
 	for _, e := range scanTable(t) {
 		kb := e.kb
-		cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, chase.Options{})
+		cs, _, err := conflict.All(kb.Facts, kb.Rules, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := conflict.NewTracker(kb.Facts, kb.CDDs)
-		sameTracker(t, e.name, conflict.NewTrackerOf(kb.Facts, kb.CDDs, cs), want, kb.Facts)
+		want := conflict.NewTracker(kb.Facts, kb.Rules)
+		sameTracker(t, e.name, conflict.NewTrackerOf(kb.Facts, kb.Rules, cs), want, kb.Facts)
 		// Every key twice: the first copy of each wins.
-		sameTracker(t, e.name+", keys repeated", conflict.NewTrackerOf(kb.Facts, kb.CDDs, append(cs, cs...)), want, kb.Facts)
+		sameTracker(t, e.name+", keys repeated", conflict.NewTrackerOf(kb.Facts, kb.Rules, append(cs, cs...)), want, kb.Facts)
 	}
 
 	// On the duplicated atom, a second conflict with the same key but the
 	// other copy's fact: whichever comes first in the seed list is kept.
 	kb := dupKB(t)
-	cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, chase.Options{})
+	cs, _, err := conflict.All(kb.Facts, kb.Rules, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +219,15 @@ func TestNewTrackerOfMatchesNewTracker(t *testing.T) {
 		}
 		base := slices.Clone(facts)
 		slices.Sort(base)
-		alt = append(alt, &conflict.Conflict{CDD: c.CDD, CDDIdx: c.CDDIdx, Hom: c.Hom, Facts: facts,
-			BaseFacts: base, Direct: true})
+		a := *c
+		a.Facts, a.BaseFacts = facts, base
+		alt = append(alt, &a)
 	}
 	if slices.EqualFunc(cs, alt, func(a, b *conflict.Conflict) bool { return slices.Equal(a.Facts, b.Facts) }) {
 		t.Fatalf("duplicate-atom scan never used fact 0: %v", cs)
 	}
-	sameTracker(t, "scan first", conflict.NewTrackerOf(kb.Facts, kb.CDDs, append(slices.Clone(cs), alt...)),
-		conflict.NewTrackerOf(kb.Facts, kb.CDDs, cs), kb.Facts)
-	sameTracker(t, "alternative first", conflict.NewTrackerOf(kb.Facts, kb.CDDs, append(slices.Clone(alt), cs...)),
-		conflict.NewTrackerOf(kb.Facts, kb.CDDs, alt), kb.Facts)
+	sameTracker(t, "scan first", conflict.NewTrackerOf(kb.Facts, kb.Rules, append(slices.Clone(cs), alt...)),
+		conflict.NewTrackerOf(kb.Facts, kb.Rules, cs), kb.Facts)
+	sameTracker(t, "alternative first", conflict.NewTrackerOf(kb.Facts, kb.Rules, append(slices.Clone(alt), cs...)),
+		conflict.NewTrackerOf(kb.Facts, kb.Rules, alt), kb.Facts)
 }

@@ -57,14 +57,15 @@ func withWorkers(t *testing.T, n int) {
 // identical for every worker count.
 func TestAllNaiveDeterministicAcrossWorkers(t *testing.T) {
 	s, cdds := randomConflictKB(t, 7, 60, 12)
+	rs := chase.NewRules(nil, cdds, s)
 	withWorkers(t, 1)
-	want := conflictKeys(AllNaive(s, cdds))
+	want := conflictKeys(AllNaive(s, rs))
 	if len(want) == 0 {
 		t.Fatal("workload has no conflicts; test would be vacuous")
 	}
 	for _, w := range []int{2, 8} {
 		par.SetWorkers(w)
-		got := conflictKeys(AllNaive(s, cdds))
+		got := conflictKeys(AllNaive(s, rs))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d conflicts, want %d", w, len(got), len(want))
 		}
@@ -81,8 +82,9 @@ func TestAllNaiveDeterministicAcrossWorkers(t *testing.T) {
 // result's memoized base-support cache.
 func TestAllDeterministicAcrossWorkers(t *testing.T) {
 	s, tgds, cdds := fig1bKB(t)
+	rs := chase.NewRules(tgds, cdds, s)
 	withWorkers(t, 1)
-	base, _, err := All(s, tgds, cdds, chase.Options{})
+	base, _, err := All(s, rs, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range []int{2, 8} {
 		par.SetWorkers(w)
-		cs, _, err := All(s, tgds, cdds, chase.Options{})
+		cs, _, err := All(s, rs, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func TestTrackerUpdateDeterministicAcrossWorkers(t *testing.T) {
 	run := func(w int) []string {
 		par.SetWorkers(w)
 		s, cdds := randomConflictKB(t, 11, 40, 8)
-		tr := NewTracker(s, cdds)
+		tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 		r := rand.New(rand.NewSource(3))
 		consts := []logic.Term{logic.C("c0"), logic.C("c1"), logic.C("u")}
 		for i := 0; i < 10; i++ {
@@ -146,7 +148,7 @@ func TestTrackerUpdateDeterministicAcrossWorkers(t *testing.T) {
 // quadratic in the conflict count.
 func BenchmarkTrackerConflicts(b *testing.B) {
 	s, cdds := randomConflictKB(b, 5, 400, 16)
-	tr := NewTracker(s, cdds)
+	tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 	if tr.Len() < 100 {
 		b.Fatalf("only %d conflicts; benchmark needs a large set", tr.Len())
 	}
@@ -163,9 +165,10 @@ func BenchmarkTrackerConflicts(b *testing.B) {
 // worker pool fans out per CDD.
 func BenchmarkAllNaive(b *testing.B) {
 	s, cdds := randomConflictKB(b, 5, 400, 16)
+	rs := chase.NewRules(nil, cdds, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cs := AllNaive(s, cdds); len(cs) == 0 {
+		if cs := AllNaive(s, rs); len(cs) == 0 {
 			b.Fatal("no conflicts")
 		}
 	}

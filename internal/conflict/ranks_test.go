@@ -71,7 +71,7 @@ func TestPositionRanksMatchesPerConflictJoinPositions(t *testing.T) {
 	kbs = append(kbs, dw)
 	var large, indirect, consts bool
 	for k, kb := range kbs {
-		cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, chase.Options{})
+		cs, _, err := conflict.All(kb.Facts, kb.Rules, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestTrackerDegreesMatchPositionRanks(t *testing.T) {
 	kbs = append(kbs, dw)
 	for k, kb := range kbs {
 		rng := rand.New(rand.NewSource(int64(k) + 1))
-		tr := conflict.NewTracker(kb.Facts, kb.CDDs)
+		tr := conflict.NewTracker(kb.Facts, kb.Rules)
 		if tr.Len() == 0 {
 			t.Fatalf("kb %d has no naive conflicts", k)
 		}
@@ -166,7 +166,7 @@ func TestTrackerDegreesMatchPositionRanks(t *testing.T) {
 				t.Fatalf("kb %d, step %d: maintained degrees (%d positions) differ from PositionRanks (%d positions)",
 					k, step, len(got), len(want))
 			}
-			rebuilt := conflict.NewTracker(kb.Facts, kb.CDDs)
+			rebuilt := conflict.NewTracker(kb.Facts, kb.Rules)
 			want = conflict.PositionRanks(rebuilt.Conflicts(), kb.Facts)
 			if got := rebuilt.Degrees(); !maps.Equal(got, want) {
 				t.Fatalf("kb %d, step %d: rebuilt tracker's degrees (%d positions) differ from PositionRanks (%d positions)",

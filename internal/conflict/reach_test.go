@@ -40,8 +40,9 @@ func headRuleKB() (*store.Store, []*logic.TGD, []*logic.CDD) {
 // would keep its one conflict from before the update.
 func TestRescanReachesThroughTGDHeads(t *testing.T) {
 	s, tgds, cdds := headRuleKB()
+	rs := chase.NewRules(tgds, cdds, s)
 	reach := conflict.NewReach(tgds, cdds)
-	prev, err := conflict.AllInPlace(s, tgds, cdds, chase.Options{})
+	prev, err := conflict.AllInPlace(s, rs, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestRescanReachesThroughTGDHeads(t *testing.T) {
 	}
 	pos := store.Position{Fact: 1, Arg: 1}
 	old := s.MustSetValue(pos, s.NullForPos(pos))
-	got, err := conflict.RescanInPlace(s, tgds, cdds, chase.Options{}, prev, reach.Affected("p", old, s.Value(pos)))
+	got, err := conflict.RescanInPlace(s, rs, chase.Options{}, prev, reach.Affected("p", old, s.Value(pos)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := conflict.AllInPlace(s, tgds, cdds, chase.Options{})
+	want, err := conflict.AllInPlace(s, rs, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,8 @@ func TestRescanAfterCoordinateShapedValue(t *testing.T) {
 	s := store.MustFromAtoms([]logic.Atom{a("q", c("k")), a("t", c("k")), a("u", c("x"))})
 	tgds := []*logic.TGD{logic.MustTGD([]logic.Atom{a("q", v("X"))}, []logic.Atom{a("r", v("X"), v("Z"))})}
 	cdds := []*logic.CDD{logic.MustCDD([]logic.Atom{a("r", v("X"), v("Y")), a("t", v("X"))})}
-	prev, err := conflict.AllInPlace(s, tgds, cdds, chase.Options{})
+	rs := chase.NewRules(tgds, cdds, s)
+	prev, err := conflict.AllInPlace(s, rs, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +120,12 @@ func TestRescanAfterCoordinateShapedValue(t *testing.T) {
 		t.Fatalf("before the update: %v, want one conflict over %s", prev, invented)
 	}
 	old := s.MustSetValue(pos, invented)
-	got, err := conflict.RescanInPlace(s, tgds, cdds, chase.Options{}, prev,
+	got, err := conflict.RescanInPlace(s, rs, chase.Options{}, prev,
 		conflict.NewReach(tgds, cdds).Affected("u", old, invented))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := conflict.AllInPlace(s, tgds, cdds, chase.Options{})
+	want, err := conflict.AllInPlace(s, rs, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestRescanMatchesFreshScan(t *testing.T) {
 		s := kb.Facts
 		reach := conflict.NewReach(kb.TGDs, kb.CDDs)
 		rng := rand.New(rand.NewSource(5))
-		prev, err := conflict.AllInPlace(s, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+		prev, err := conflict.AllInPlace(s, kb.Rules, kb.ChaseOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +169,13 @@ func TestRescanMatchesFreshScan(t *testing.T) {
 			old := s.MustSetValue(pos, val)
 			name := fmt.Sprintf("%s, step %d (%s := %s)", e.name, step, pos, val)
 			before := s.Clone()
-			got, err := conflict.RescanInPlace(s, kb.TGDs, kb.CDDs, kb.ChaseOpts, prev,
+			got, err := conflict.RescanInPlace(s, kb.Rules, kb.ChaseOpts, prev,
 				reach.Affected(s.FactRef(id).Pred, old, val))
 			if err != nil {
 				t.Fatal(err)
 			}
 			restored(t, name, s, before)
-			want, err := conflict.AllInPlace(s, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+			want, err := conflict.AllInPlace(s, kb.Rules, kb.ChaseOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

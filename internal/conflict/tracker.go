@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"kbrepair/internal/chase"
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/store"
 )
@@ -19,8 +19,9 @@ import (
 // the updated fact and re-evaluates only the CDDs whose bodies can map an
 // atom onto the updated fact.
 type Tracker struct {
-	base      *store.Store
-	cdds      []*logic.CDD
+	base *store.Store
+	// rs holds the pinned-atom plans Update re-evaluates with.
+	rs        *chase.Rules
 	conflicts map[string]*Conflict
 	byFact    map[store.FactID]map[string]bool
 	// ordered/orderedKeys hold the live conflicts sorted by key: filled by
@@ -29,8 +30,6 @@ type Tracker struct {
 	// on every Conflicts call. Keys are kept parallel to the conflicts.
 	ordered     []*Conflict
 	orderedKeys []string
-	// pins holds the pinned-atom plans Update re-evaluates with.
-	pins *Pins
 	// degrees holds the vertex degrees of the conflict hypergraph (see
 	// PositionRanks) once Degrees has built it; index and remove keep it
 	// current from then on. Nil until asked for, so sessions whose strategy
@@ -45,20 +44,20 @@ type Tracker struct {
 // the incremental indexes. The tracker observes — but does not own — the
 // store: callers mutate it through store.SetValue and then call Update with
 // the affected fact.
-func NewTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
-	return NewTrackerUnder(0, base, cdds)
+func NewTracker(base *store.Store, rs *chase.Rules) *Tracker {
+	return NewTrackerUnder(0, base, rs)
 }
 
 // NewTrackerUnder is NewTracker with the initial conflict scan's trace span
 // parented under the given span id (0 for a root).
-func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Tracker {
-	t := newTracker(base, cdds)
-	t.fill(AllNaiveUnder(parent, base, cdds))
+func NewTrackerUnder(parent uint64, base *store.Store, rs *chase.Rules) *Tracker {
+	t := newTracker(base, rs)
+	t.fill(AllNaiveUnder(parent, base, rs))
 	return t
 }
 
 // NewTrackerOf builds the tracker from a chase-level scan of base that the
-// caller has already made (AllInPlace or All on base, under the same CDDs),
+// caller has already made (AllInPlace or All on base, under the same rules),
 // instead of scanning base again: its direct conflicts are exactly the
 // naive conflicts NewTracker would find.
 //
@@ -78,8 +77,8 @@ func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Track
 // lists are in fact-id order (no value set since it was built). Otherwise a
 // search may pick a different list, now that the chase has lengthened
 // some, and keep the other copy.
-func NewTrackerOf(base *store.Store, cdds []*logic.CDD, scanned []*Conflict) *Tracker {
-	t := newTracker(base, cdds)
+func NewTrackerOf(base *store.Store, rs *chase.Rules, scanned []*Conflict) *Tracker {
+	t := newTracker(base, rs)
 	t.fill(Direct(scanned))
 	return t
 }
@@ -97,13 +96,12 @@ func Direct(cs []*Conflict) []*Conflict {
 	return out
 }
 
-func newTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
+func newTracker(base *store.Store, rs *chase.Rules) *Tracker {
 	return &Tracker{
 		base:      base,
-		cdds:      cdds,
+		rs:        rs,
 		conflicts: make(map[string]*Conflict),
 		byFact:    make(map[store.FactID]map[string]bool),
-		pins:      NewPins(cdds, base),
 	}
 }
 
@@ -125,64 +123,6 @@ func (t *Tracker) fill(cs []*Conflict) {
 		t.index(k, c)
 	}
 	mEdgeAdd.Add(int64(len(t.ordered)))
-}
-
-// Pins is the pinned-atom plan table of a CDD set: for every body atom of
-// every CDD, the rest of the body, compiled seed-specialized on that atom's
-// variables so the orderer costs the rest-conjunction under the bindings
-// every pinned search starts with. It runs the fact-local searches of §5's
-// UpdateConflicts — every violation that uses a given fact, found by
-// pinning one body atom onto it — for the Tracker; the chase of the CDDs'
-// ⊥-rules searches the same plans. Immutable once built, so safe for
-// concurrent use.
-type Pins struct {
-	cdds []*logic.CDD
-	// byPred maps a predicate name to the indexes of CDDs mentioning it in
-	// their body (the Σ_C^A of §5, at predicate granularity).
-	byPred map[string][]int
-	// plans[ci][ai] is the body-minus-atom-ai conjunction of CDD ci.
-	plans [][]*homo.Plan
-}
-
-// NewPins compiles the pinned plans of the CDDs (homo.PinnedPlan). Plans
-// are pure functions of (CDD, atom index, prebound set), so they are cached
-// on the CDDs and shared by every table built over them — and by the chase
-// of the CDDs' ⊥-rules; stats binds the join order on a first compile, so
-// build tables at a sequential point, never inside a fan-out.
-func NewPins(cdds []*logic.CDD, stats *store.Store) *Pins {
-	p := &Pins{cdds: cdds, byPred: make(map[string][]int), plans: make([][]*homo.Plan, len(cdds))}
-	for i, c := range cdds {
-		seen := make(map[string]bool)
-		for _, a := range c.Body {
-			if !seen[a.Pred] {
-				seen[a.Pred] = true
-				p.byPred[a.Pred] = append(p.byPred[a.Pred], i)
-			}
-		}
-		p.plans[i] = make([]*homo.Plan, len(c.Body))
-		for ai := range c.Body {
-			p.plans[i][ai] = homo.PinnedPlan(c, c.Body, ai, stats)
-		}
-	}
-	return p
-}
-
-// Each calls fn, in (CDD, body atom) order, for every body atom that can be
-// pinned onto the ground atom, with the seed binding that body atom's
-// variables against it and the plan of the rest of the body. fn returns
-// false to stop.
-func (p *Pins) Each(atom logic.Atom, fn func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool) {
-	for _, ci := range p.byPred[atom.Pred] {
-		for ai, ba := range p.cdds[ci].Body {
-			seed, ok := homo.BindAtom(ba, atom)
-			if !ok {
-				continue
-			}
-			if !fn(ci, ai, seed, p.plans[ci][ai]) {
-				return
-			}
-		}
-	}
 }
 
 func (t *Tracker) add(c *Conflict) {
@@ -300,8 +240,8 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	var added int64
 	// Pin each matching body atom onto the updated fact (its variables bound
 	// against the fact), then search the remaining atoms.
-	t.pins.Each(t.base.FactRef(id), func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool {
-		added += t.addPinned(id, ci, ai, seed, plan)
+	t.rs.EachPinned(t.base.FactRef(id), func(ci, ai int, seed logic.Subst) bool {
+		added += t.addPinned(id, ci, ai, seed)
 		return true
 	})
 	flight.Record(flight.KindTrackerUpdate, int64(id), removed, added, 0)
@@ -311,15 +251,14 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 }
 
 // addPinned runs the search of CDD ci with body atom ai pinned onto fact id
-// through seed — plan is the body minus that atom — adds each conflict it
-// witnesses, and returns how many it found.
-func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst, plan *homo.Plan) int64 {
-	cdd := t.cdds[ci]
-	if attr.Enabled() {
-		attrPinned.Add(AttrID(cdd), 1)
-	}
+// through seed, adds each conflict it witnesses, and returns how many it
+// found.
+func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int64 {
+	rule := t.rs.CDD[ci]
+	cdd := rule.CDD
+	attrPinned.Add(rule.AID, 1)
 	var n int64
-	plan.ForEachSeeded(t.base, seed, func(m homo.Match) bool {
+	rule.Pinned[ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {
 		facts := make([]store.FactID, 0, len(cdd.Body))
 		ri := 0
 		for j := range cdd.Body {
@@ -334,7 +273,7 @@ func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst, plan 
 		for v, val := range seed {
 			full[v] = val
 		}
-		t.add(newConflict(cdd, ci, full, facts, dedupIDs(facts), true))
+		t.add(newConflict(rule, ci, full, facts, dedupIDs(facts), true))
 		n++
 		return true
 	})

@@ -35,15 +35,16 @@ func mergeFixture(tb testing.TB, n int) (*store.Store, []*logic.CDD) {
 func TestTrackerOrderedInvariant(t *testing.T) {
 	for _, seed := range []string{"naive scan", "chase-level scan, keys repeated"} {
 		s, cdds := mergeFixture(t, 40)
+		rs := chase.NewRules(nil, cdds, s)
 		var tr *Tracker
 		if seed == "naive scan" {
-			tr = NewTracker(s, cdds)
+			tr = NewTracker(s, rs)
 		} else {
-			cs, _, err := All(s, nil, cdds, chase.Options{})
+			cs, _, err := All(s, rs, chase.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr = NewTrackerOf(s, cdds, append(cs, cs...))
+			tr = NewTrackerOf(s, rs, append(cs, cs...))
 		}
 		if tr.Len() != 40 {
 			t.Fatalf("%s: initial conflicts = %d, want 40", seed, tr.Len())
@@ -99,7 +100,7 @@ func TestTrackerConflictsAllocGuard(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
 	}
 	s, cdds := mergeFixture(t, 100)
-	tr := NewTracker(s, cdds)
+	tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 	for i := 0; i < 100; i += 7 {
 		id := store.FactID(2 * i)
 		old := s.MustSetValue(store.Position{Fact: id, Arg: 1}, logic.C("nowhere"))
@@ -122,7 +123,7 @@ func BenchmarkTrackerMerge(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("conflicts%d", n), func(b *testing.B) {
 			s, cdds := mergeFixture(b, n)
-			tr := NewTracker(s, cdds)
+			tr := NewTracker(s, chase.NewRules(nil, cdds, s))
 			pos := store.Position{Fact: 0, Arg: 1}
 			orig := s.Value(pos)
 			b.ReportAllocs()

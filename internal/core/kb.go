@@ -21,18 +21,25 @@ type KB struct {
 	Facts *store.Store
 	TGDs  []*logic.TGD
 	CDDs  []*logic.CDD
+	// Rules is TGDs and CDDs compiled once, by NewKB, against the facts
+	// F held then: every chase, consistency check, conflict scan and
+	// tracker of the KB searches with these plans, and copies of the KB
+	// share them.
+	Rules *chase.Rules
 	// ChaseOpts bounds chase runs made on behalf of this KB.
 	ChaseOpts chase.Options
 }
 
 // NewKB assembles a knowledge base and validates it: all rules must be
 // structurally well-formed and the TGD set weakly acyclic (the paper's
-// termination condition).
+// termination condition). It then compiles the rules against facts, which
+// binds the join order of every plan of the KB.
 func NewKB(facts *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) (*KB, error) {
 	kb := &KB{Facts: facts, TGDs: tgds, CDDs: cdds}
 	if err := kb.Validate(); err != nil {
 		return nil, err
 	}
+	kb.Rules = chase.NewRules(tgds, cdds, facts)
 	return kb, nil
 }
 
@@ -119,15 +126,16 @@ func anonArgs(anon *store.Store, arity int) []logic.Term {
 	return args
 }
 
-// Clone returns a copy of the KB with an independent fact store. Rules are
-// shared (they are immutable once built).
+// Clone returns a copy of the KB with an independent fact store. Rules and
+// their compiled set are shared (they are immutable once built).
 func (kb *KB) Clone() *KB {
-	return &KB{
-		Facts:     kb.Facts.Clone(),
-		TGDs:      kb.TGDs,
-		CDDs:      kb.CDDs,
-		ChaseOpts: kb.ChaseOpts,
-	}
+	return kb.WithFacts(kb.Facts.Clone())
+}
+
+// WithFacts returns a KB over facts with kb's rules, compiled set and
+// chase options.
+func (kb *KB) WithFacts(facts *store.Store) *KB {
+	return &KB{Facts: facts, TGDs: kb.TGDs, CDDs: kb.CDDs, Rules: kb.Rules, ChaseOpts: kb.ChaseOpts}
 }
 
 // IsConsistent runs the optimized consistency check (CheckConsistency-Opt):
@@ -137,7 +145,7 @@ func (kb *KB) Clone() *KB {
 // goroutines, so the caller holds it exclusively — as every other KB
 // mutation already requires.
 func (kb *KB) IsConsistent() (bool, error) {
-	return chase.IsConsistentOpt(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentOpt(kb.Facts, kb.Rules, kb.ChaseOpts)
 }
 
 // IsConsistentUnder is IsConsistent with the check's chase span parented
@@ -146,18 +154,18 @@ func (kb *KB) IsConsistent() (bool, error) {
 func (kb *KB) IsConsistentUnder(parent uint64) (bool, error) {
 	opts := kb.ChaseOpts
 	opts.TraceParent = parent
-	return chase.IsConsistentOpt(kb.Facts, kb.TGDs, kb.CDDs, opts)
+	return chase.IsConsistentOpt(kb.Facts, kb.Rules, opts)
 }
 
 // IsConsistentNaive runs the unoptimized check: full chase, then evaluate
 // every CDD body.
 func (kb *KB) IsConsistentNaive() (bool, error) {
-	return chase.IsConsistentNaive(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentNaive(kb.Facts, kb.Rules, kb.ChaseOpts)
 }
 
 // AllConflicts computes allconflicts(K) on the chased KB.
 func (kb *KB) AllConflicts() ([]*conflict.Conflict, *chase.Result, error) {
-	return conflict.All(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return conflict.All(kb.Facts, kb.Rules, kb.ChaseOpts)
 }
 
 // AllConflictsUnder returns the conflicts AllConflicts returns, with the
@@ -179,12 +187,12 @@ func (kb *KB) AllConflictsUnder(parent uint64) ([]*conflict.Conflict, error) {
 func (kb *KB) RescanConflictsUnder(parent uint64, prev []*conflict.Conflict, affected []bool) ([]*conflict.Conflict, error) {
 	opts := kb.ChaseOpts
 	opts.TraceParent = parent
-	return conflict.RescanInPlace(kb.Facts, kb.TGDs, kb.CDDs, opts, prev, affected)
+	return conflict.RescanInPlace(kb.Facts, kb.Rules, opts, prev, affected)
 }
 
 // NaiveConflicts computes allconflicts_naive(K) on the base facts only.
 func (kb *KB) NaiveConflicts() []*conflict.Conflict {
-	return conflict.AllNaive(kb.Facts, kb.CDDs)
+	return conflict.AllNaive(kb.Facts, kb.Rules)
 }
 
 // RulesCompatible checks the paper's standing assumption that ΣT and ΣC
@@ -206,10 +214,12 @@ func (kb *KB) RulesCompatible() (bool, error) {
 		anon.MustAdd(logic.NewAtom(p, anonArgs(anon, arity)...))
 	}
 	// anon is private to this call, so the in-place check has it alone.
-	return chase.IsConsistentOpt(anon, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	// The rules are compiled for this check alone: the KB's own set stays
+	// bound against its base facts.
+	return chase.IsConsistentOpt(anon, chase.NewRules(kb.TGDs, kb.CDDs, anon), kb.ChaseOpts)
 }
 
 // Chase returns the chase Cl_ΣT(F) of the KB's facts.
 func (kb *KB) Chase() (*chase.Result, error) {
-	return chase.Run(kb.Facts, kb.TGDs, kb.ChaseOpts)
+	return chase.Run(kb.Facts, kb.Rules, kb.ChaseOpts)
 }

@@ -260,13 +260,13 @@ func (in *instance) desaturate() {
 // for consistency. K is Π-repairable iff that KB is consistent
 // (Proposition 3.8). The input KB is not modified.
 func PiRepairable(kb *KB, pi Pi) (bool, error) {
-	return chase.IsConsistentOpt(nulledCopy(kb.Facts, pi), kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentOpt(nulledCopy(kb.Facts, pi), kb.Rules, kb.ChaseOpts)
 }
 
 // PiRepairableNaive is Algorithm 1 with the unoptimized consistency check
 // (full chase, then CDD evaluation). Kept for the ablation benchmarks.
 func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
-	return chase.IsConsistentNaive(nulledCopy(kb.Facts, pi), kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentNaive(nulledCopy(kb.Facts, pi), kb.Rules, kb.ChaseOpts)
 }
 
 // PiChecker performs the repeated Π-repairability checks of question
@@ -280,8 +280,7 @@ func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
 type PiChecker struct {
 	kb        *KB
 	ruleConst map[logic.Term]bool
-	// check is CheckConsistency-Opt compiled for the session's rules by
-	// the first batch with a full check.
+	// check is CheckConsistency-Opt over the KB's compiled rules.
 	check *chase.Checker
 	// Optimized disables the fast path when false (ablation).
 	Optimized bool
@@ -313,13 +312,11 @@ func (pc *PiChecker) SetCause(id attr.ID) { pc.cause = id }
 func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent = id }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
-// It also binds the plan of every rule body against the KB's base store
-// (chase.PrecompilePlans): otherwise the first search to compile a plan
-// would bind its join order against whatever it searched — a Π-nulled
-// instance, or the chased store of a chase-level conflict scan.
+// Its checks search with the KB's compiled rules (KB.Rules), whose plans
+// NewKB bound against the base facts.
 func NewPiChecker(kb *KB) *PiChecker {
-	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
-	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true, cause: attr.None}
+	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), check: chase.NewChecker(kb.Rules),
+		Optimized: true, cause: attr.None}
 	collect := func(as []logic.Atom) {
 		for _, a := range as {
 			for _, t := range a.Args {
@@ -444,11 +441,6 @@ func (pc *PiChecker) runFullChecks(pi Pi, piVals map[logic.Term]int, fixes []Fix
 	// carries the batch's time instead.
 	opts := pc.kb.ChaseOpts
 	opts.TraceQuiet = true
-	if pc.check == nil {
-		// Compiled against the KB's facts, the store PrecompilePlans binds
-		// against, so first compiles bind the same join orders.
-		pc.check = chase.NewChecker(pc.kb.TGDs, pc.kb.CDDs, pc.kb.Facts)
-	}
 	if !pc.Optimized {
 		return pc.checkFull(pi, fixes, full, out, opts)
 	}

@@ -131,7 +131,7 @@ func UpdateRepair(kb *KB, fs FixSet) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KB{Facts: s, TGDs: kb.TGDs, CDDs: kb.CDDs, ChaseOpts: kb.ChaseOpts}, nil
+	return kb.WithFacts(s), nil
 }
 
 // FixValues enumerates the candidate values for a position per Def. 3.1:

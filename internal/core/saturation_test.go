@@ -34,7 +34,7 @@ func hostileTGDCase(t *testing.T) sessionCase {
 	}
 	kb := g.KB
 	var hot []core.Position
-	for _, c := range conflict.AllNaive(kb.Facts, kb.CDDs) {
+	for _, c := range conflict.AllNaive(kb.Facts, kb.Rules) {
 		hot = append(hot, c.Positions(kb.Facts)...)
 	}
 	r := rand.New(rand.NewSource(5))
@@ -78,12 +78,12 @@ func TestMaintainedSaturationMatchesFresh(t *testing.T) {
 			name := fmt.Sprintf("%s/w%d", c.name, w)
 			kb := c.kb.Clone()
 			pc := core.NewPiChecker(kb)
-			chk := chase.NewChecker(kb.TGDs, kb.CDDs, kb.Facts)
+			chk := chase.NewChecker(kb.Rules)
 			strict := chk.HasTGDs() && c.name != "hostile-tgd"
 			r := rand.New(rand.NewSource(int64(len(name)) + 7))
 			// Chase-level conflicts: their base positions include those of
 			// facts whose violation needs a TGD.
-			cs, _, err := conflict.All(kb.Facts, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+			cs, _, err := conflict.All(kb.Facts, kb.Rules, kb.ChaseOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func sessionCases(t *testing.T) []sessionCase {
 	}
 	hostile := g.KB
 	var hot []core.Position
-	for _, c := range conflict.AllNaive(hostile.Facts, hostile.CDDs) {
+	for _, c := range conflict.AllNaive(hostile.Facts, hostile.Rules) {
 		hot = append(hot, c.Positions(hostile.Facts)...)
 	}
 	r := rand.New(rand.NewSource(6))
@@ -184,7 +184,7 @@ func TestSessionInstancesRandomWalk(t *testing.T) {
 			pc := core.NewPiChecker(kb)
 			r := rand.New(rand.NewSource(int64(len(name))))
 			var hot []core.Position
-			for _, x := range conflict.AllNaive(kb.Facts, kb.CDDs) {
+			for _, x := range conflict.AllNaive(kb.Facts, kb.Rules) {
 				hot = append(hot, x.Positions(kb.Facts)...)
 			}
 			pi, pinned := core.NewPi(), core.NewPi()

@@ -80,7 +80,7 @@ func CertainAnswers(kb *core.KB, q Query) ([]Tuple, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	raw, err := chase.Answers(kb.Facts, kb.TGDs, q.Body, q.Answ, kb.ChaseOpts)
+	raw, err := chase.Answers(kb.Facts, kb.Rules, q.Body, q.Answ, kb.ChaseOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func SampledAnswers(kb *core.KB, q Query, samples int, seed int64) (*Result, err
 		if !runRes.Consistent {
 			return nil, fmt.Errorf("cqa: sample %d did not reach consistency", s)
 		}
-		answers, err := chase.Answers(clone.Facts, clone.TGDs, q.Body, q.Answ, clone.ChaseOpts)
+		answers, err := chase.Answers(clone.Facts, clone.Rules, q.Body, q.Answ, clone.ChaseOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -106,7 +106,7 @@ func currentConflicts(kb *core.KB, removed map[store.FactID]bool) ([]*conflict.C
 		back[nid] = id
 	}
 	// sub is private to this call, so the scan chases it in place.
-	cs, err := conflict.AllInPlace(sub, kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	cs, err := conflict.AllInPlace(sub, kb.Rules, kb.ChaseOpts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,8 +238,7 @@ func deletionRepairs(kb *core.KB, removed map[store.FactID]bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	sub := &core.KB{Facts: facts, TGDs: kb.TGDs, CDDs: kb.CDDs, ChaseOpts: kb.ChaseOpts}
-	return sub.IsConsistent()
+	return kb.WithFacts(facts).IsConsistent()
 }
 
 // CompareWithUpdate quantifies the paper's §1 motivation on a concrete KB:

@@ -45,7 +45,7 @@ func TestGreedyRepair(t *testing.T) {
 		t.Errorf("loss = %d", r.InformationLoss(kb.Facts))
 	}
 	// The surviving KB is consistent.
-	sub := &core.KB{Facts: r.Facts, TGDs: kb.TGDs, CDDs: kb.CDDs}
+	sub := kb.WithFacts(r.Facts)
 	if ok, _ := sub.IsConsistent(); !ok {
 		t.Error("greedy repair left inconsistency")
 	}
@@ -78,7 +78,7 @@ func TestGreedyRepairWithTGDs(t *testing.T) {
 	if len(r.Removed) != 1 {
 		t.Fatalf("removed = %v", r.Removed)
 	}
-	sub := &core.KB{Facts: r.Facts, TGDs: kb.TGDs, CDDs: kb.CDDs}
+	sub := kb.WithFacts(r.Facts)
 	if ok, _ := sub.IsConsistent(); !ok {
 		t.Error("repair inconsistent under chase")
 	}

@@ -15,15 +15,13 @@ import (
 const ProfileTopK = 50
 
 // Profile is the plan-quality section of a BenchReport: per-body search
-// cost attribution plus the plan-cache health figures. It is derived
+// cost attribution plus the number of plans compiled. It is derived
 // entirely from deterministic quantities when obs timing is off, so two
 // runs of the same workload at any worker counts marshal byte-identically.
 type Profile struct {
-	// PlanCompiles / PlanCacheHits are the global plan-cache counters;
-	// CacheHitRate is hits/(hits+compiles), 0 when neither moved.
-	PlanCompiles  int64   `json:"plan_compiles"`
-	PlanCacheHits int64   `json:"plan_cache_hits"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
+	// PlanCompiles is the global homo.plan_compiles counter: each KB
+	// compiles its rules' plans once.
+	PlanCompiles int64 `json:"plan_compiles"`
 	// Bodies is the number of distinct bodies with at least one search,
 	// before the top-K truncation; Truncated is how many rows were dropped.
 	Bodies    int `json:"bodies"`
@@ -43,12 +41,8 @@ func BuildProfile(s *attr.Snapshot, m obs.Snapshot) *Profile {
 	}
 	rows := attr.Rows(s)
 	p := &Profile{
-		PlanCompiles:  m.Counters["homo.plan_compiles"],
-		PlanCacheHits: m.Counters["homo.plan_cache_hits"],
-		Bodies:        len(rows),
-	}
-	if total := p.PlanCompiles + p.PlanCacheHits; total > 0 {
-		p.CacheHitRate = float64(p.PlanCacheHits) / float64(total)
+		PlanCompiles: m.Counters["homo.plan_compiles"],
+		Bodies:       len(rows),
 	}
 	if len(rows) > ProfileTopK {
 		p.Truncated = len(rows) - ProfileTopK
@@ -68,14 +62,13 @@ func BuildProfile(s *attr.Snapshot, m obs.Snapshot) *Profile {
 }
 
 // WriteProfile renders the plan-quality section kbbench prints alongside
-// its tables: plan-cache health, then the most expensive bodies with the
+// its tables: the plans compiled, then the most expensive bodies with the
 // kernel mode and compile-time join order each one ran with.
 func WriteProfile(w io.Writer, p *Profile) {
 	if p == nil {
 		return
 	}
-	fmt.Fprintf(w, "== Plan quality (%d bodies, cache hit rate %.1f%%: %d compiles, %d hits) ==\n",
-		p.Bodies, p.CacheHitRate*100, p.PlanCompiles, p.PlanCacheHits)
+	fmt.Fprintf(w, "== Plan quality (%d bodies, %d plans compiled) ==\n", p.Bodies, p.PlanCompiles)
 	fmt.Fprintf(w, "  %-40s %-8s %9s %12s %9s  %s\n",
 		"body", "mode", "searches", "nodes", "matches", "order")
 	for _, r := range p.Rows {

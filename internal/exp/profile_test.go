@@ -13,7 +13,7 @@ import (
 )
 
 // profileWorkload runs one small fixed workload — fresh KB and rules each
-// call, so the plan cache compiles anew and the counters cover the whole
+// call, so its rule set compiles anew and the counters cover the whole
 // run — and returns the resulting profile.
 func profileWorkload(t *testing.T) *Profile {
 	t.Helper()
@@ -39,9 +39,9 @@ func profileWorkload(t *testing.T) *Profile {
 // TestProfileDeterministicAcrossWorkers is the profile's core guarantee:
 // with attribution on and obs timing off, the marshaled profile section is
 // byte-identical at -workers 1, 2 and 8. Node and probe counts are exact,
-// interning is content-addressed, snapshots sort by key, and the plan
-// cache compiles each key exactly once — nothing scheduling-dependent is
-// left.
+// interning is content-addressed, snapshots sort by key, and the KB's
+// rule set compiles each plan exactly once — nothing scheduling-dependent
+// is left.
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
 	prevAttr := attr.Enabled()
 	attr.SetEnabled(true)

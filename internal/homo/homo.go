@@ -14,11 +14,10 @@
 // atom order picked by a cost-based orderer (with one-step forward
 // checking), cyclic bodies — in the GYO ear-removal sense — execute a
 // variable-at-a-time generic join (see wcoj.go). Rule-derived conjunctions
-// share compiled plans through CachedPlan, cached on the rule they derive
-// from (its Memo) and keyed by the compile spec; CompileOpts also supports seed-specialized plans whose
-// Prebound variables count as bound for ordering. The package-level
-// functions below compile on the fly and are kept as the convenience API
-// for ad-hoc bodies.
+// are compiled once per knowledge base (chase.NewRules) and searched from
+// then on; CompileOpts also supports seed-specialized plans whose Prebound
+// variables count as bound for ordering. The package-level functions below
+// compile on the fly and are kept as the convenience API for ad-hoc bodies.
 //
 // The engine's contract is the SET of matches: two plans for the same body
 // always produce equal match sets, but enumeration order is a plan

@@ -55,38 +55,17 @@ func (m Mode) String() string {
 type CompileOpts struct {
 	// Stats supplies predicate cardinalities and active-domain sizes for the
 	// cost-based orderer. The order binds at compile time: pass the store the
-	// plan will mostly run against. nil falls back to a structural order.
+	// plan will mostly run against — for rule plans, the KB's base facts,
+	// which chase.NewRules compiles against. nil falls back to a structural
+	// order.
 	Stats *store.Store
 	// Prebound lists variables guaranteed bound by the seed before every
-	// search (seed-specialized plans: the tracker's pinned-atom bindings,
-	// TGD head checks seeded with frontier bindings). They count as bound
-	// slots for ordering and join the cache key.
+	// search (seed-specialized plans: pinned-atom bindings, TGD head checks
+	// seeded with frontier bindings). They count as bound slots for
+	// ordering.
 	Prebound []logic.Term
 	// Mode forces a kernel; ModeAuto (the default) selects static or wcoj.
 	Mode Mode
-}
-
-// spec is the cache-key fingerprint of the options: kernel mode and prebound
-// variables. Stats stay out — they inform the order but two compiles of the
-// same rule must share one plan, bound by whichever store compiled first
-// (call sites compile at deterministic points, see chase.PrecompilePlans).
-func (o CompileOpts) spec() string {
-	if o.Mode == ModeAuto && len(o.Prebound) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteString("m=")
-	sb.WriteString(o.Mode.String())
-	if len(o.Prebound) > 0 {
-		sb.WriteString(";pre=")
-		for i, v := range o.Prebound {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(v.Name)
-		}
-	}
-	return sb.String()
 }
 
 // isCyclic reports whether the body hypergraph — atoms as hyperedges over
@@ -299,10 +278,10 @@ var (
 )
 
 // recordPlanInfo notes how a body was compiled. A stats-informed compile
-// replaces a structural one for the same body (KB validation compiles CDD
-// bodies against a tiny anonymized store before any real scan; the profile
-// should show the scan's order), otherwise the first writer wins — compile
-// order at equal stats quality is deterministic, so so is the registry.
+// replaces a structural one for the same body (the profile should show the
+// order searches ran with), otherwise the first writer wins. Compiles run at
+// deterministic points — a KB's rules once, against its base facts, in
+// core.NewKB (chase.NewRules) — so the registry is deterministic too.
 func recordPlanInfo(info PlanInfo) {
 	planInfoMu.Lock()
 	defer planInfoMu.Unlock()

@@ -35,14 +35,13 @@ func BindAtom(pattern, fact logic.Atom) (logic.Subst, bool) {
 	return sub, true
 }
 
-// PinnedPlan returns the cached plan of a pinned search: body minus atom i,
+// PinnedPlan compiles the plan of a pinned search: body minus atom i,
 // seed-specialized on atom i's variables, so the orderer costs the rest of
 // the body under the bindings BindAtom yields when atom i is pinned onto a
 // fact. Searching it with that seed enumerates every homomorphism of body
-// that maps atom i onto the fact. owner is the rule body belongs to, as in
-// CacheKey; stats binds the join order on a first compile, so resolve
-// pinned plans at a sequential point, never inside a fan-out.
-func PinnedPlan(owner Owner, body []logic.Atom, i int, stats *store.Store) *Plan {
+// that maps atom i onto the fact. stats binds the join order, as in
+// CompileOpts.
+func PinnedPlan(body []logic.Atom, i int, stats *store.Store) *Plan {
 	rest := make([]logic.Atom, 0, len(body)-1)
 	rest = append(append(rest, body[:i]...), body[i+1:]...)
 	var pre []logic.Term
@@ -51,6 +50,5 @@ func PinnedPlan(owner Owner, body []logic.Atom, i int, stats *store.Store) *Plan
 			pre = append(pre, arg)
 		}
 	}
-	return CachedPlanWith(CacheKey{Owner: owner, Tag: TagPinned + i}, rest,
-		CompileOpts{Stats: stats, Prebound: pre})
+	return CompileWith(rest, CompileOpts{Stats: stats, Prebound: pre})
 }

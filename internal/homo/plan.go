@@ -10,14 +10,10 @@ import (
 	"kbrepair/internal/store"
 )
 
-// Plan-compiler instrumentation: how many conjunctions were compiled and how
-// often a compiled plan was served from the rule-keyed cache. A healthy
-// session compiles each rule body once and then hits the cache for the
-// remaining thousands of searches.
-var (
-	mPlanCompiles = obs.NewCounter("homo.plan_compiles")
-	mPlanHits     = obs.NewCounter("homo.plan_cache_hits")
-)
+// Plan-compiler instrumentation: how many conjunctions were compiled. A KB
+// compiles each of its rules' conjunctions once (chase.NewRules), and every
+// later search reuses those plans.
+var mPlanCompiles = obs.NewCounter("homo.plan_compiles")
 
 // Per-body attribution families (see internal/obs/attr): every search
 // flushes its cost against the plan's interned body key, so the profile can
@@ -183,79 +179,10 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// Cache tags distinguish the conjunctions compiled from one rule. Pinned
-// plans (PinnedPlan's body-minus-one-atom conjunctions) use TagPinned+i for
-// pinned atom index i.
-const (
-	TagBody   = 0
-	TagHead   = 1
-	TagPinned = 2
-)
-
-// Owner is what compiled plans are cached on: a rule (*logic.TGD or
-// *logic.CDD), whose Memo holds every plan compiled from it, so plans live
-// exactly as long as their rule and a session's plans are collected with
-// its rules.
-type Owner interface{ Memo() *sync.Map }
-
-// CacheKey identifies a compiled conjunction in its owner's memo: the rule
-// it is derived from and which of the rule's conjunctions it is. The
-// compile options' mode and prebound variables join the key inside
-// CachedPlanWith, so differently specialized plans of one rule never
-// collide.
-type CacheKey struct {
-	Owner Owner
-	Tag   int
-}
-
-// planKey is a plan's key within its owner's memo.
-type planKey struct {
-	tag  int
-	spec string
-}
-
-// planCompileMu serializes cache misses so each key compiles exactly once.
-// A racing LoadOrStore would compile a key twice when two workers missed
-// together — harmless for the plans (the loser was dropped) but it made
-// homo.plan_compiles / homo.plan_cache_hits depend on scheduling, which the
-// profile's cache-hit rate must not.
-var planCompileMu sync.Mutex
-
-// CachedPlan returns the compiled plan for key, compiling body on first use
-// with default options. The cache is keyed by rule identity, not body
-// contents: callers must pass the same body for the same key every time
-// (rules are immutable, so this holds for all rule-derived conjunctions).
-func CachedPlan(key CacheKey, body []logic.Atom) *Plan {
-	return CachedPlanWith(key, body, CompileOpts{})
-}
-
-// CachedPlanWith is CachedPlan with explicit compile options. The options'
-// mode and prebound variables join the cache key, so a rule can hold both a
-// general and a seed-specialized plan; Stats do not (the first compile for a
-// key binds the order — compile at a point where the store is representative,
-// e.g. chase.PrecompilePlans before any parallel fan-out).
-func CachedPlanWith(key CacheKey, body []logic.Atom, opts CompileOpts) *Plan {
-	memo := key.Owner.Memo()
-	k := planKey{tag: key.Tag, spec: opts.spec()}
-	if v, ok := memo.Load(k); ok {
-		mPlanHits.Inc()
-		return v.(*Plan)
-	}
-	planCompileMu.Lock()
-	defer planCompileMu.Unlock()
-	if v, ok := memo.Load(k); ok {
-		mPlanHits.Inc()
-		return v.(*Plan)
-	}
-	p := CompileWith(body, opts)
-	memo.LoadOrStore(k, p)
-	return p
-}
-
 // exec is the per-search mutable state of a plan: a flat binding array
 // indexed by slot, an undo trail, and a per-atom candidate-list cache with
-// dirty flags. Instances are pooled per plan so a cached-plan search
-// allocates nothing.
+// dirty flags. Instances are pooled per plan so a search with a compiled
+// plan allocates nothing.
 type exec struct {
 	p  *Plan
 	s  *store.Store

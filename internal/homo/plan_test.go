@@ -181,41 +181,13 @@ func TestPlanExistsEarlyStop(t *testing.T) {
 	}
 }
 
-// owner is a stand-in rule for plan-cache tests.
-type owner struct{ memo sync.Map }
-
-func (o *owner) Memo() *sync.Map { return &o.memo }
-
-// TestCachedPlanIdentity: same key must return the pointer-identical plan,
-// also under concurrency.
-func TestCachedPlanIdentity(t *testing.T) {
-	_, body := planFixture(t, 5)
-	o := &owner{}
-	key := CacheKey{Owner: o, Tag: TagBody}
-	first := CachedPlan(key, body)
-	var wg sync.WaitGroup
-	plans := make([]*Plan, 16)
-	for i := range plans {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			plans[i] = CachedPlan(key, body)
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range plans {
-		if p != first {
-			t.Fatalf("goroutine %d got a different plan for the same key", i)
-		}
-	}
-}
-
 // TestCachedPlanConcurrentSearch runs many goroutines through one shared
-// cached plan — the production shape under internal/par — and checks each
-// sees a complete, ordered enumeration.
+// compiled plan — the production shape under internal/par, where a KB's
+// compiled rule set serves every worker — and checks each sees a complete,
+// ordered enumeration.
 func TestCachedPlanConcurrentSearch(t *testing.T) {
 	s, body := planFixture(t, 40)
-	p := CachedPlan(CacheKey{Owner: &owner{}, Tag: TagBody}, body)
+	p := Compile(body)
 	want := fmt.Sprint(matchSignature(collectPlan(p, s, nil)))
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)

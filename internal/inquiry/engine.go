@@ -258,7 +258,7 @@ func (e *Engine) ask(strat Strategy, cs []*conflict.Conflict, x *conflict.Confli
 	// itself — to the CDD whose conflict is being resolved.
 	qid := attr.None
 	if attr.Enabled() {
-		qid = conflict.AttrID(x.CDD)
+		qid = x.AttrID()
 		e.pc.SetCause(qid)
 	}
 	ssp := qsp.Child("inquiry.sound_question")
@@ -428,7 +428,7 @@ func (e *Engine) Run() (*Result, error) {
 		initSp.End()
 		return nil, err
 	}
-	tracker := conflict.NewTrackerOf(e.KB.Facts, e.KB.CDDs, initial)
+	tracker := conflict.NewTrackerOf(e.KB.Facts, e.KB.Rules, initial)
 	res.InitialNaive = tracker.Len()
 	res.InitialTotal = len(initial)
 	if initSp.Live() {
@@ -460,7 +460,7 @@ func (e *Engine) Run() (*Result, error) {
 			return res, err
 		}
 		if e.Opts.DisableIncremental {
-			tracker = conflict.NewTrackerUnder(qsp.ID(), e.KB.Facts, e.KB.CDDs)
+			tracker = conflict.NewTrackerUnder(qsp.ID(), e.KB.Facts, e.KB.Rules)
 		} else {
 			tracker.UpdateUnder(qsp.ID(), rd.Answer.Pos.Fact)
 		}

@@ -273,7 +273,7 @@ func TestOracleSoundnessWithTGDs(t *testing.T) {
 		target.MustSetValue(core.Position{Fact: 1, Arg: 0}, logic.C("Mike"))
 		target.MustSetValue(core.Position{Fact: 5, Arg: 0}, target.NullForPos(core.Position{Fact: 5, Arg: 0}))
 		// Sanity: the target must be a consistent KB.
-		tkb := &core.KB{Facts: target.Clone(), TGDs: kb.TGDs, CDDs: kb.CDDs}
+		tkb := kb.WithFacts(target.Clone())
 		if ok, err := tkb.IsConsistent(); err != nil || !ok {
 			t.Fatalf("oracle target inconsistent: ok=%v err=%v", ok, err)
 		}
@@ -301,7 +301,7 @@ func TestOracleAnswersEveryQuestion(t *testing.T) {
 	target := kb.Facts.Clone()
 	target.MustSetValue(core.Position{Fact: 0, Arg: 0}, target.NullForPos(core.Position{Fact: 0, Arg: 0}))
 	target.MustSetValue(core.Position{Fact: 1, Arg: 1}, target.NullForPos(core.Position{Fact: 1, Arg: 1}))
-	tkb := &core.KB{Facts: target.Clone(), TGDs: kb.TGDs, CDDs: kb.CDDs}
+	tkb := kb.WithFacts(target.Clone())
 	if ok, _ := tkb.IsConsistent(); !ok {
 		t.Fatal("target not consistent")
 	}

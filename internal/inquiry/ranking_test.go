@@ -57,7 +57,7 @@ func TestPhaseOneRankingAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(g.KB, OptiMCD{}, NewSimulatedUser(1), 1, Options{})
-	tr := conflict.NewTracker(g.KB.Facts, g.KB.CDDs)
+	tr := conflict.NewTracker(g.KB.Facts, g.KB.Rules)
 	cs := tr.Conflicts()
 	e.beginQuestion(tr)
 	if len(e.bestRankedPositions(cs)) == 0 {

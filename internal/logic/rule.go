@@ -3,7 +3,6 @@ package logic
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // TGD is a tuple-generating dependency (existential rule)
@@ -18,16 +17,7 @@ type TGD struct {
 	Label string
 	Body  []Atom
 	Head  []Atom
-	memo  sync.Map
 }
-
-// Memo returns the rule's cache of what other packages derive from it —
-// compiled homomorphism plans, the chase's compiled rule row. Derived
-// state cached here lives exactly as long as the rule and is collected
-// with it, instead of accumulating in process-wide maps keyed by rule
-// pointers. Each deriving package keys its entries with its own unexported
-// types, so entries never collide.
-func (t *TGD) Memo() *sync.Map { return &t.memo }
 
 // NewTGD builds a TGD and validates it.
 func NewTGD(body, head []Atom) (*TGD, error) {
@@ -118,12 +108,7 @@ type CDD struct {
 	// Label is an optional human-readable identifier used in diagnostics.
 	Label string
 	Body  []Atom
-	memo  sync.Map
 }
-
-// Memo returns the rule's cache of what other packages derive from it —
-// compiled plans, its ⊥-rule (see TGD.Memo).
-func (c *CDD) Memo() *sync.Map { return &c.memo }
 
 // NewCDD builds a CDD and validates it.
 func NewCDD(body []Atom) (*CDD, error) {

@@ -5,9 +5,8 @@
 //
 // The design extends the obs contract one level down:
 //
-//   - keys are interned once, on cold paths (plan compilation, first firing
-//     of a rule), into dense int32 IDs; the hot path never touches a map or
-//     a string;
+//   - keys are interned once, on a cold path (rule and plan compilation),
+//     into dense int32 IDs; the hot path never touches a map or a string;
 //   - every family holds one striped obs.Counter (or obs.Histogram) per
 //     key, published through an atomic pointer to a copy-on-write slice, so
 //     a recording is: one atomic enabled-load, one atomic slice-load, one
@@ -58,10 +57,6 @@ var (
 	index    = map[string]ID{}
 	keysPtr  atomic.Pointer[[]string]
 	families = map[string]family{}
-
-	// ownerIDs caches owner (rule pointer) -> ID so hot call sites resolve
-	// their ID without rebuilding the key string (see OwnerID/BindOwner).
-	ownerIDs sync.Map
 )
 
 func init() {
@@ -96,31 +91,6 @@ func Intern(key string) ID {
 	ks[len(old)] = key
 	keysPtr.Store(&ks)
 	index[key] = id
-	return id
-}
-
-// OwnerID returns the cached ID bound to owner (a stable comparable
-// identity, in practice a *logic.TGD or *logic.CDD pointer). The miss
-// branch lets the caller build the key string only when actually needed:
-//
-//	if id, ok := attr.OwnerID(rule); !ok {
-//	    id = attr.BindOwner(rule, rule.String())
-//	}
-func OwnerID(owner any) (ID, bool) {
-	if v, ok := ownerIDs.Load(owner); ok {
-		return v.(ID), true
-	}
-	return None, false
-}
-
-// BindOwner interns key and caches the resulting ID under owner. Binding
-// the same owner twice keeps the first ID (keys are content-addressed, so
-// a consistent caller gets the same ID either way).
-func BindOwner(owner any, key string) ID {
-	id := Intern(key)
-	if v, loaded := ownerIDs.LoadOrStore(owner, id); loaded {
-		return v.(ID)
-	}
 	return id
 }
 
@@ -365,7 +335,7 @@ func SnapshotAll() *Snapshot {
 }
 
 // Reset zeroes every cell of every family (for tests and between
-// benchmark runs); interned keys, IDs and owner bindings stay valid.
+// benchmark runs); interned keys and IDs stay valid.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()

@@ -36,26 +36,6 @@ func TestInternDenseAndStable(t *testing.T) {
 	}
 }
 
-func TestOwnerBinding(t *testing.T) {
-	type rule struct{ name string }
-	r := &rule{"r1"}
-	if id, ok := OwnerID(r); ok {
-		t.Fatalf("unbound owner resolved to %d", id)
-	}
-	id := BindOwner(r, "test.owner/r1")
-	if id != Intern("test.owner/r1") {
-		t.Fatalf("BindOwner ID %d != Intern ID %d", id, Intern("test.owner/r1"))
-	}
-	got, ok := OwnerID(r)
-	if !ok || got != id {
-		t.Fatalf("OwnerID = %d,%v want %d,true", got, ok, id)
-	}
-	// Second binding keeps the first ID.
-	if again := BindOwner(r, "test.owner/other"); again != id {
-		t.Fatalf("rebind returned %d, want first ID %d", again, id)
-	}
-}
-
 func TestCounterVecRecording(t *testing.T) {
 	v := NewCounterVec("test.counter_recording")
 	id := Intern("test.counter_recording/key")

@@ -76,7 +76,7 @@ func TestGeneratePaddingIsConflictFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every atom with a "pad" constant must be absent from all conflicts.
-	cs := conflict.AllNaive(g.KB.Facts, g.KB.CDDs)
+	cs := conflict.AllNaive(g.KB.Facts, g.KB.Rules)
 	padFacts := make(map[int]bool)
 	for _, id := range g.KB.Facts.IDs() {
 		a := g.KB.Facts.FactRef(id)
@@ -120,8 +120,8 @@ func TestGenerateWithTGDs(t *testing.T) {
 	}
 }
 
-// TestGenerateBindsBodyPlansToBaseFacts checks that the CDD body plans a
-// generated KB caches are bound against its base facts, not against the
+// TestGenerateBindsBodyPlansToBaseFacts checks that the CDD body plans of a
+// generated KB's rule set are bound against its base facts, not against the
 // chased store of the indicator scan: they enumerate the base facts exactly
 // as a fresh compile against kb.Facts does.
 func TestGenerateBindsBodyPlansToBaseFacts(t *testing.T) {
@@ -143,14 +143,13 @@ func TestGenerateBindsBodyPlansToBaseFacts(t *testing.T) {
 			return out
 		}
 		for i, c := range kb.CDDs {
-			opts := homo.CompileOpts{Stats: kb.Facts}
-			cached := homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body, opts)
-			fresh := homo.CompileWith(c.Body, opts)
-			if cached.Mode() != fresh.Mode() {
-				t.Fatalf("seed %d cdd %d: cached mode %v, base-bound mode %v", p.Seed, i, cached.Mode(), fresh.Mode())
+			kept := kb.Rules.CDD[i].Body
+			fresh := homo.CompileWith(c.Body, homo.CompileOpts{Stats: kb.Facts})
+			if kept.Mode() != fresh.Mode() {
+				t.Fatalf("seed %d cdd %d: KB plan mode %v, base-bound mode %v", p.Seed, i, kept.Mode(), fresh.Mode())
 			}
-			if got, want := matches(cached), matches(fresh); !slices.EqualFunc(got, want, slices.Equal) {
-				t.Fatalf("seed %d cdd %d %v: cached plan enumerates the base facts' %d matches unlike a base-bound plan",
+			if got, want := matches(kept), matches(fresh); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("seed %d cdd %d %v: KB plan enumerates the base facts' %d matches unlike a base-bound plan",
 					p.Seed, i, c, len(want))
 			}
 		}
