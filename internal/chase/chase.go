@@ -222,8 +222,9 @@ func RunInPlace(s *store.Store, rs *Rules, opts Options) (*Result, error) {
 
 // delta is the set of facts every trigger of a chase round must use: the
 // facts with id ≥ lo, or, when ids is non-nil, the facts listed in ids
-// (ascending; the rewritten facts a ContinueFrom starts from), grouped by
-// predicate in byPred.
+// (ascending; the rewritten facts a ContinueFrom starts from). byPred
+// groups them by predicate, each list in id order; a tail's lists are
+// filled when a round collects from it (groupTail).
 type delta struct {
 	lo     store.FactID
 	ids    []store.FactID
@@ -241,6 +242,22 @@ func listDelta(s *store.Store, ids []store.FactID) delta {
 		d.byPred[p] = append(d.byPred[p], id)
 	}
 	return d
+}
+
+// groupTail fills the per-predicate lists of a tail delta in one walk
+// over the tail. A predicate's list in s only grows by appends and shrinks
+// by Truncate, so it is in id order and its delta facts are a suffix of
+// it: each list is that suffix, found once per predicate, not copied.
+func (d *delta) groupTail(s *store.Store) {
+	d.byPred = make(map[string][]store.FactID)
+	for id := d.lo; int(id) < s.Len(); id++ {
+		p := s.FactRef(id).Pred
+		if _, ok := d.byPred[p]; ok {
+			continue
+		}
+		ids := s.CandidatesByPred(p)
+		d.byPred[p] = ids[sort.Search(len(ids), func(k int) bool { return ids[k] >= id }):]
+	}
 }
 
 // size returns the number of facts of s in the delta.
@@ -261,14 +278,8 @@ func (d delta) has(id store.FactID) bool {
 }
 
 // ofPred returns the delta facts with predicate pred, in id order.
-func (d delta) ofPred(s *store.Store, pred string) []store.FactID {
-	if d.ids != nil {
-		return d.byPred[pred]
-	}
-	// A predicate's list only grows by appends and shrinks by Truncate,
-	// so it is in id order and its delta facts are a suffix.
-	ids := s.CandidatesByPred(pred)
-	return ids[sort.Search(len(ids), func(k int) bool { return ids[k] >= d.lo }):]
+func (d delta) ofPred(pred string) []store.FactID {
+	return d.byPred[pred]
 }
 
 // runRules is the shared, instrumented engine; it extends s in place
@@ -457,26 +468,15 @@ func (rs *ruleSet) collect(s *store.Store, d delta) [][]homo.Match {
 		}
 		return perRule
 	}
-	preds := make(map[string]bool)
+	if d.byPred == nil {
+		d.groupTail(s)
+	}
 	var cand []int
-	addPred := func(p string) {
-		if preds[p] {
-			return
-		}
-		preds[p] = true
+	for p := range d.byPred {
 		for _, ri := range rs.byPred[p] {
 			if !slices.Contains(cand, ri) {
 				cand = append(cand, ri)
 			}
-		}
-	}
-	if d.ids != nil {
-		for _, id := range d.ids {
-			addPred(s.FactRef(id).Pred)
-		}
-	} else {
-		for id := d.lo; int(id) < s.Len(); id++ {
-			addPred(s.FactRef(id).Pred)
 		}
 	}
 	slices.Sort(cand)
@@ -499,37 +499,54 @@ func collectAll(s *store.Store, body *homo.Plan) []homo.Match {
 
 // collectDelta gathers the body homomorphisms of a rule that map at least
 // one body atom onto a fact of the delta by pinned delta collection: each
-// body atom is pinned onto each delta fact of its predicate (bound by
-// homo.BindAtom) and the rest of the body is searched with the pinned plan.
-// A homomorphism with several body atoms on delta facts is found once per
-// such atom; it is kept only under the lowest, so each trigger is collected
-// once. The work is proportional to what the delta can join with, not to
-// the rule's matches over the whole store.
+// body atom is pinned onto each delta fact of its predicate and the rest
+// of the body is searched with the pinned plan (homo.Plan.ForEachPinned);
+// a one-atom body's pin is the whole trigger. A homomorphism with several
+// body atoms on delta facts is found once per such atom; it is kept only
+// under the lowest, so each trigger is collected once. The work is
+// proportional to what the delta can join with, not to the rule's matches
+// over the whole store, and a delta fact the pinned atom does not map onto
+// costs no allocation.
 func collectDelta(s *store.Store, r *rule, d delta) []homo.Match {
+	if d.byPred == nil {
+		// A tail not grouped yet: collect groups a round's delta once for
+		// all its rules, so only a direct call gets here.
+		d.groupTail(s)
+	}
+	if r.pinned != nil {
+		return collectPinned(s, r, d)
+	}
 	var out []homo.Match
-	for ai, ba := range r.tgd.Body {
-		for _, id := range d.ofPred(s, ba.Pred) {
-			seed, ok := homo.BindAtom(ba, s.FactRef(id))
-			if !ok {
-				continue
-			}
-			if r.pinned[ai] == nil {
-				out = append(out, homo.Match{Subst: seed, Facts: []store.FactID{id}})
-				continue
-			}
-			r.pinned[ai].ForEachSeeded(s, seed, func(m homo.Match) bool {
-				// The pinned plan's atoms are the body's without atom ai,
-				// in body order, so m.Facts[:ai] are body atoms 0..ai-1.
-				for _, f := range m.Facts[:ai] {
-					if d.has(f) {
-						return true
-					}
-				}
-				facts := make([]store.FactID, 0, len(r.tgd.Body))
-				facts = append(append(append(facts, m.Facts[:ai]...), id), m.Facts[ai:]...)
-				out = append(out, homo.Match{Subst: m.Subst.Clone(), Facts: facts})
+	for _, id := range d.ofPred(r.pin.Pred()) {
+		if fact := s.FactRef(id); r.pin.Matches(fact) {
+			out = append(out, homo.Match{Subst: r.pin.Subst(fact), Facts: []store.FactID{id}})
+		}
+	}
+	return out
+}
+
+// collectPinned is collectDelta for a rule with pinned plans. One callback
+// serves every pinned search.
+func collectPinned(s *store.Store, r *rule, d delta) []homo.Match {
+	var out []homo.Match
+	var ai int
+	var id store.FactID
+	keep := func(m homo.Match) bool {
+		// The pinned plan's atoms are the body's without atom ai, in body
+		// order, so m.Facts[:ai] are body atoms 0..ai-1.
+		for _, f := range m.Facts[:ai] {
+			if d.has(f) {
 				return true
-			})
+			}
+		}
+		facts := make([]store.FactID, 0, len(r.tgd.Body))
+		facts = append(append(append(facts, m.Facts[:ai]...), id), m.Facts[ai:]...)
+		out = append(out, homo.Match{Subst: m.Subst.Clone(), Facts: facts})
+		return true
+	}
+	for ai = range r.tgd.Body {
+		for _, id = range d.ofPred(r.tgd.Body[ai].Pred) {
+			r.pinned[ai].ForEachPinned(s, s.FactRef(id), keep)
 		}
 	}
 	return out
@@ -594,9 +611,9 @@ func (c *Checker) HasTGDs() bool { return c.tgds > 0 }
 // pinning each body atom onto it as delta collection does.
 func (c *Checker) ViolatedAt(s *store.Store, id store.FactID) bool {
 	violated := false
-	c.rs.EachPinned(s.FactRef(id), func(ci, ai int, seed logic.Subst) bool {
-		r := c.rs.CDD[ci]
-		violated = len(r.CDD.Body) == 1 || r.Pinned[ai].ExistsSeeded(s, seed)
+	fact := s.FactRef(id)
+	c.rs.EachPinned(fact, func(ci, ai int) bool {
+		violated = c.rs.CDD[ci].Pinned[ai].ExistsPinned(s, fact)
 		return !violated
 	})
 	return violated

@@ -118,3 +118,39 @@ func TestDeltaCollectionMatchesFilter(t *testing.T) {
 		t.Fatalf("table too weak: %d tail and %d list delta triggers collected", found, listed)
 	}
 }
+
+// TestOneAtomRowMissAllocatesNothing: a one-atom TGD's chase row pins its
+// body atom without a plan, and collecting from a delta whose facts the
+// atom does not map onto — another predicate, a differing constant, a
+// repeated variable meeting two values — allocates nothing; a fact it maps
+// onto is collected as a trigger with the atom's bindings.
+func TestOneAtomRowMissAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
+	}
+	x := logic.V("X")
+	s := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("q", logic.C("a"), logic.C("a")),
+		logic.NewAtom("p", logic.C("b"), logic.C("a"), logic.C("a")),
+		logic.NewAtom("p", logic.C("a"), logic.C("a"), logic.C("b")),
+		logic.NewAtom("p", logic.C("a"), logic.C("b"), logic.C("b")),
+	})
+	tgd := logic.MustTGD([]logic.Atom{logic.NewAtom("p", logic.C("a"), x, x)}, []logic.Atom{logic.NewAtom("h", x)})
+	r := NewRules([]*logic.TGD{tgd}, nil, s).table.rules[0]
+	if r.pinned != nil {
+		t.Fatal("one-atom TGD row compiled a pinned plan")
+	}
+	for id, how := range []string{"predicate", "constant", "repeated variable"} {
+		d := listDelta(s, []store.FactID{store.FactID(id)})
+		if got := collectDelta(s, r, d); len(got) != 0 {
+			t.Fatalf("%s miss: collected %v", how, got)
+		}
+		if a := testing.AllocsPerRun(200, func() { collectDelta(s, r, d) }); a != 0 {
+			t.Errorf("%s miss: collectDelta allocates %v allocs/op, want 0", how, a)
+		}
+	}
+	got := collectDelta(s, r, listDelta(s, []store.FactID{3}))
+	if len(got) != 1 || !slices.Equal(got[0].Facts, []store.FactID{3}) || got[0].Subst.Key() != (logic.Subst{x: logic.C("b")}).Key() {
+		t.Fatalf("hit: collected %v, want one trigger on fact 3 binding X to b", got)
+	}
+}

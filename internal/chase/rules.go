@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"slices"
+
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs/attr"
@@ -36,12 +38,14 @@ type CDDRule struct {
 	// Bottom is the CDD's ⊥-rule, body(CDD) → ⊥() (CheckConsistency-Opt,
 	// §5): the rule derivations of ⊥ name.
 	Bottom *logic.TGD
-	// Body enumerates the CDD's violations. Pinned[i] is the body minus
-	// atom i, seed-specialized on atom i's variables (homo.PinnedPlan); for
-	// a one-atom body it is the empty conjunction, whose one match is the
-	// seed.
+	// Body enumerates the CDD's violations. Pinned[i] is the body pinned at
+	// atom i (homo.PinnedPlan); for a one-atom body the rest is the empty
+	// conjunction, whose one match is the pin's bindings.
 	Body   *homo.Plan
 	Pinned []*homo.Plan
+	// Vars are the CDD's variables in logic.Term order: the keys of every
+	// homomorphism of its body, in the order Subst.Key writes them.
+	Vars []logic.Term
 	// PinArgs lists, per body atom, the argument indexes whose values pin a
 	// homomorphism: the join-variable arguments, then the constant
 	// arguments, each ascending. Shared: callers do not modify it.
@@ -59,12 +63,15 @@ type rule struct {
 	// methods compute fresh slices on every call).
 	front, exist []logic.Term
 	// body enumerates the triggers of a full round; pinned[i] is the body
-	// minus atom i (homo.PinnedPlan), searched after pinning atom i onto a
-	// delta fact — unused for a one-atom body, whose pinned atom is the
-	// whole match; head is the applicability check, seed-specialized on the
-	// frontier variables every check binds.
+	// pinned at atom i (homo.PinnedPlan), searched with atom i pinned onto
+	// a delta fact; head is the applicability check, seed-specialized on
+	// the frontier variables every check binds.
 	body, head *homo.Plan
 	pinned     []*homo.Plan
+	// pin is a one-atom TGD's body atom compiled for pinning, in place of
+	// pinned plans (pinned is nil): the pinned atom is the whole match, so
+	// a delta fact it maps onto is a trigger without a search.
+	pin homo.Pin
 	// aid is the rule's attribution ID (see CDDRule.AID).
 	aid attr.ID
 }
@@ -121,19 +128,15 @@ func NewRules(tgds []*logic.TGD, cdds []*logic.CDD, stats *store.Store) *Rules {
 func (rs *Rules) Relevant() *Rules { return rs.relevant }
 
 // EachPinned calls fn, in (CDD, body atom) order, for every CDD body atom
-// that can be pinned onto the ground atom, with the seed binding that body
-// atom's variables against it (homo.BindAtom); the rest of the body is
-// rs.CDD[ci].Pinned[ai]. These are the fact-local searches of §5's
-// UpdateConflicts — every violation that uses a given fact. fn returns
-// false to stop.
-func (rs *Rules) EachPinned(atom logic.Atom, fn func(ci, ai int, seed logic.Subst) bool) {
+// over the ground atom's predicate; rs.CDD[ci].Pinned[ai].ForEachPinned
+// and ExistsPinned pin body atom ai onto the atom, rejecting one it does
+// not map onto, and search the rest of the body. These are the fact-local
+// searches of §5's UpdateConflicts — every violation that uses a given
+// fact. fn returns false to stop.
+func (rs *Rules) EachPinned(atom logic.Atom, fn func(ci, ai int) bool) {
 	for _, ci := range rs.cddsByPred[atom.Pred] {
 		for ai, ba := range rs.CDD[ci].CDD.Body {
-			seed, ok := homo.BindAtom(ba, atom)
-			if !ok {
-				continue
-			}
-			if !fn(ci, ai, seed) {
+			if ba.Pred == atom.Pred && !fn(ci, ai) {
 				return
 			}
 		}
@@ -142,38 +145,70 @@ func (rs *Rules) EachPinned(atom logic.Atom, fn func(ci, ai int, seed logic.Subs
 
 // newRule compiles the chase row of t against stats.
 func newRule(t *logic.TGD, stats *store.Store) *rule {
-	r := &rule{tgd: t, front: t.FrontierVars(), exist: t.ExistentialVars(), aid: attrID(t.String())}
-	r.body = homo.CompileWith(t.Body, homo.CompileOpts{Stats: stats})
-	r.head = homo.CompileWith(t.Head, homo.CompileOpts{Stats: stats, Prebound: r.front})
-	r.pinned = make([]*homo.Plan, len(t.Body))
-	if len(t.Body) > 1 {
-		for ai := range t.Body {
-			r.pinned[ai] = homo.PinnedPlan(t.Body, ai, stats)
-		}
+	r := newRow(t, stats)
+	if len(t.Body) == 1 {
+		r.pin = homo.NewPin(t.Body[0])
+	} else {
+		r.pinned = pinnedPlans(t.Body, stats)
 	}
 	return r
 }
 
+// newRow compiles the body and head plans of t's chase row against stats.
+func newRow(t *logic.TGD, stats *store.Store) *rule {
+	r := &rule{tgd: t, front: t.FrontierVars(), exist: t.ExistentialVars(), aid: attrID(t.String())}
+	r.body = homo.CompileWith(t.Body, homo.CompileOpts{Stats: stats})
+	r.head = homo.CompileWith(t.Head, homo.CompileOpts{Stats: stats, Prebound: r.front})
+	return r
+}
+
+// pinnedPlans compiles body pinned at each of its atoms against stats.
+func pinnedPlans(body []logic.Atom, stats *store.Store) []*homo.Plan {
+	out := make([]*homo.Plan, len(body))
+	for ai := range body {
+		out[ai] = homo.PinnedPlan(body, ai, stats)
+	}
+	return out
+}
+
 // newCDDRule compiles c and its ⊥-rule against stats. The ⊥-rule's body and
-// pinned plans are the CDD's own.
+// pinned plans are the CDD's own, a one-atom body's included: the tracker
+// and ViolatedAt search them too.
 func newCDDRule(c *logic.CDD, stats *store.Store) (*CDDRule, *rule) {
 	bottom := &logic.TGD{
 		Label: "⊥:" + c.Label,
 		Body:  append([]logic.Atom(nil), c.Body...),
 		Head:  []logic.Atom{logic.NewAtom(BottomPred)},
 	}
-	r := newRule(bottom, stats)
-	if len(c.Body) == 1 {
-		r.pinned[0] = homo.PinnedPlan(c.Body, 0, stats)
-	}
+	r := newRow(bottom, stats)
+	r.pinned = pinnedPlans(c.Body, stats)
 	return &CDDRule{
 		CDD:     c,
 		Bottom:  bottom,
 		Body:    r.body,
 		Pinned:  r.pinned,
+		Vars:    sortedVars(c.Body),
 		PinArgs: pinArgs(c),
 		AID:     attrID(c.String()),
 	}, r
+}
+
+// sortedVars returns the variables of body in logic.Term order.
+func sortedVars(body []logic.Atom) []logic.Term {
+	n := 0
+	for _, a := range body {
+		n += len(a.Args)
+	}
+	out := make([]logic.Term, 0, n)
+	for _, a := range body {
+		for _, t := range a.Args {
+			if t.IsVar() && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
+		}
+	}
+	logic.SortTerms(out)
+	return out
 }
 
 // attrID interns key when attribution is on, as homo.Plan does.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"kbrepair/internal/chase"
@@ -69,19 +70,49 @@ type Conflict struct {
 	// atoms all map onto base facts). Join-position retrieval (opti-join)
 	// is only defined for direct conflicts.
 	Direct bool
-	// key caches Key for conflicts built by a scan, which computes it
-	// anyway to deduplicate; empty for a conflict built elsewhere.
+	// key caches Key for conflicts built by a scan or a tracker update,
+	// which compute it first to deduplicate (conflictKey); empty for a
+	// conflict built elsewhere.
 	key string
 	// rule is the CDD compiled: its pinArgs table and attribution ID.
 	rule *chase.CDDRule
 }
 
 // newConflict builds a conflict of the compiled CDD idx with homomorphism
-// hom onto facts, computing its key once.
-func newConflict(rule *chase.CDDRule, idx int, hom logic.Subst, facts, baseFacts []store.FactID, direct bool) *Conflict {
-	c := &Conflict{CDD: rule.CDD, CDDIdx: idx, Hom: hom, Facts: facts, BaseFacts: baseFacts, Direct: direct, rule: rule}
-	c.key = c.computeKey()
-	return c
+// hom onto facts, whose key conflictKey has computed.
+func newConflict(rule *chase.CDDRule, idx int, key string, hom logic.Subst, facts, baseFacts []store.FactID, direct bool) *Conflict {
+	return &Conflict{CDD: rule.CDD, CDDIdx: idx, Hom: hom, Facts: facts, BaseFacts: baseFacts, Direct: direct, key: key, rule: rule}
+}
+
+// conflictKey returns the Key of a conflict of the compiled CDD idx with
+// homomorphism hom — the bytes of fmt.Sprintf("%d|%s", idx, hom.Key()) —
+// written into one buffer sized up front. It walks the CDD's variables,
+// sorted at compile time (chase.CDDRule.Vars), instead of sorting hom's
+// keys. hom may be a search's scratch Subst: a caller computes the key
+// before it clones anything, so a duplicate match costs one string.
+func conflictKey(rule *chase.CDDRule, idx int, hom logic.Subst) string {
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(idx), 10)
+	var buf [8]logic.Term
+	vals := buf[:0]
+	n := len(num) + 1
+	for _, v := range rule.Vars {
+		t := hom[v]
+		vals = append(vals, t)
+		n += len(v.Name) + len(t.Name) + 3
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.Write(num)
+	sb.WriteByte('|')
+	for i, v := range rule.Vars {
+		sb.WriteString(v.Name)
+		sb.WriteByte('=')
+		sb.WriteByte(byte('0' + vals[i].Kind))
+		sb.WriteString(vals[i].Name)
+		sb.WriteByte(';')
+	}
+	return sb.String()
 }
 
 // AttrID returns the attribution ID of the conflict's CDD — the inquiry
@@ -241,6 +272,11 @@ func scanCDD(s *store.Store, rule *chase.CDDRule, idx int, res *chase.Result) []
 	var out []*Conflict
 	seen := make(map[string]bool)
 	rule.Body.ForEach(s, func(m homo.Match) bool {
+		key := conflictKey(rule, idx, m.Subst)
+		if seen[key] {
+			return true
+		}
+		seen[key] = true
 		direct := true
 		baseFacts := m.Facts
 		if res != nil {
@@ -252,12 +288,8 @@ func scanCDD(s *store.Store, rule *chase.CDDRule, idx int, res *chase.Result) []
 			}
 			baseFacts = res.BaseSupportAll(m.Facts)
 		}
-		cf := newConflict(rule, idx, m.Subst.Clone(), append([]store.FactID(nil), m.Facts...),
-			dedupIDs(baseFacts), direct)
-		if !seen[cf.key] {
-			seen[cf.key] = true
-			out = append(out, cf)
-		}
+		out = append(out, newConflict(rule, idx, key, m.Subst.Clone(), append([]store.FactID(nil), m.Facts...),
+			dedupIDs(baseFacts), direct))
 		return true
 	})
 	if attr.Enabled() && len(out) > 0 {

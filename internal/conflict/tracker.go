@@ -7,7 +7,6 @@ import (
 
 	"kbrepair/internal/chase"
 	"kbrepair/internal/homo"
-	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/store"
@@ -125,11 +124,8 @@ func (t *Tracker) fill(cs []*Conflict) {
 	mEdgeAdd.Add(int64(len(t.ordered)))
 }
 
-func (t *Tracker) add(c *Conflict) {
-	k := c.Key()
-	if _, dup := t.conflicts[k]; dup {
-		return
-	}
+// add inserts c, whose key k is new to the tracker.
+func (t *Tracker) add(k string, c *Conflict) {
 	mEdgeAdd.Inc()
 	i := sort.SearchStrings(t.orderedKeys, k)
 	t.orderedKeys = slices.Insert(t.orderedKeys, i, k)
@@ -238,46 +234,34 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 		t.remove(k)
 	}
 	var added int64
-	// Pin each matching body atom onto the updated fact (its variables bound
-	// against the fact), then search the remaining atoms.
-	t.rs.EachPinned(t.base.FactRef(id), func(ci, ai int, seed logic.Subst) bool {
-		added += t.addPinned(id, ci, ai, seed)
+	// Pin each body atom over the fact's predicate onto the updated fact,
+	// then search the remaining atoms. One callback serves every pinned
+	// search, so a body atom that does not map onto the fact costs nothing.
+	fact := t.base.FactRef(id)
+	var ci, ai int
+	found := func(m homo.Match) bool {
+		added++
+		rule := t.rs.CDD[ci]
+		key := conflictKey(rule, ci, m.Subst)
+		if _, dup := t.conflicts[key]; dup {
+			return true
+		}
+		facts := make([]store.FactID, 0, len(rule.CDD.Body))
+		facts = append(append(append(facts, m.Facts[:ai]...), id), m.Facts[ai:]...)
+		t.add(key, newConflict(rule, ci, key, m.Subst.Clone(), facts, dedupIDs(facts), true))
+		return true
+	}
+	t.rs.EachPinned(fact, func(c, a int) bool {
+		ci, ai = c, a
+		if t.rs.CDD[ci].Pinned[ai].ForEachPinned(t.base, fact, found) {
+			attrPinned.Add(t.rs.CDD[ci].AID, 1)
+		}
 		return true
 	})
 	flight.Record(flight.KindTrackerUpdate, int64(id), removed, added, 0)
 	if sp.Live() {
 		sp.End(obs.Int64("removed", removed), obs.Int64("added", added))
 	}
-}
-
-// addPinned runs the search of CDD ci with body atom ai pinned onto fact id
-// through seed, adds each conflict it witnesses, and returns how many it
-// found.
-func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int64 {
-	rule := t.rs.CDD[ci]
-	cdd := rule.CDD
-	attrPinned.Add(rule.AID, 1)
-	var n int64
-	rule.Pinned[ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {
-		facts := make([]store.FactID, 0, len(cdd.Body))
-		ri := 0
-		for j := range cdd.Body {
-			if j == ai {
-				facts = append(facts, id)
-			} else {
-				facts = append(facts, m.Facts[ri])
-				ri++
-			}
-		}
-		full := m.Subst.Clone()
-		for v, val := range seed {
-			full[v] = val
-		}
-		t.add(newConflict(rule, ci, full, facts, dedupIDs(facts), true))
-		n++
-		return true
-	})
-	return n
 }
 
 // Len returns the current number of conflicts.

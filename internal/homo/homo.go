@@ -19,6 +19,18 @@
 // variables count as bound for ordering. The package-level functions below
 // compile on the fly and are kept as the convenience API for ad-hoc bodies.
 //
+// Fact-local searches — the chase's delta rounds and §5's UpdateConflicts —
+// pin one body atom onto one fact and search the rest (pin.go): a
+// PinnedPlan carries the pinned atom compiled as a Pin, whose arguments
+// compare a ground term, bind a slot or repeat an earlier argument.
+// Plan.ForEachPinned and ExistsPinned reject a fact the atom does not map
+// onto from the fact alone, before any search is counted and without
+// allocating, and write a hit's arguments straight into the executor's
+// slots; a Subst is materialized only at a match, in the executor's
+// scratch map, and callers clone only what they keep (a chase trigger, a
+// conflict's Hom, whose key the conflict package writes from the CDD's
+// pre-sorted variables without building Subst.Key's sorted key list).
+//
 // The engine's contract is the SET of matches: two plans for the same body
 // always produce equal match sets, but enumeration order is a plan
 // property and differs across kernels and orders.

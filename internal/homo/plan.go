@@ -61,8 +61,11 @@ type planAtom struct {
 // after Compile and safe for concurrent use; per-search mutable state lives
 // in pooled exec instances.
 type Plan struct {
-	atoms     []planAtom
-	vars      []logic.Term // slot -> variable term
+	atoms []planAtom
+	// vars maps slot -> variable term. A PinnedPlan's vars end with the
+	// slots only its pin binds, which slotOf and slotAtoms leave out: no
+	// atom mentions them.
+	vars      []logic.Term
 	slotOf    map[logic.Term]int
 	slotAtoms [][]int // slot -> indices of atoms mentioning it
 	pool      sync.Pool
@@ -72,6 +75,9 @@ type Plan struct {
 	// kernel's slot binding order. Only the resolved mode's field is set.
 	order  []int
 	vorder []int
+	// pin is the pinned atom of a PinnedPlan (ForEachPinned); the zero Pin,
+	// which matches no fact, for any other plan.
+	pin Pin
 	// aid is the interned attribution key of the body, resolved at compile
 	// time (attr.None when attribution was off then — plans compiled before
 	// attr.SetEnabled record nothing, which the CLIs avoid by enabling
@@ -97,10 +103,18 @@ func Compile(body []logic.Atom) *Plan {
 // as bound from the start (seed-specialized plans).
 func CompileWith(body []logic.Atom, opts CompileOpts) *Plan {
 	mPlanCompiles.Inc()
+	// Argument positions bound the body's slots; a PinnedPlan appends
+	// slots for prebound variables the body does not mention.
+	n := 0
+	for _, a := range body {
+		n += len(a.Args)
+	}
 	p := &Plan{
-		atoms:  make([]planAtom, len(body)),
-		slotOf: make(map[logic.Term]int),
-		aid:    attr.None,
+		atoms:     make([]planAtom, len(body)),
+		vars:      make([]logic.Term, 0, n+len(opts.Prebound)),
+		slotOf:    make(map[logic.Term]int),
+		slotAtoms: make([][]int, 0, n),
+		aid:       attr.None,
 	}
 	if attr.Enabled() {
 		p.aid = attr.Intern(bodyKey(body))
@@ -210,8 +224,8 @@ type exec struct {
 	// scratch is the Subst materialized for fn at each match; like the
 	// legacy engine's live map it is only valid during the callback.
 	scratch logic.Subst
-	// Seed bindings for variables that have no slot (not mentioned in the
-	// body, e.g. head variables in tracker seeds); appended at match time.
+	// Seed bindings for variables that have no slot (a seed may bind more
+	// than the body mentions); appended at match time.
 	extraV []logic.Term
 	extraT []logic.Term
 
@@ -244,7 +258,7 @@ func newExec(p *Plan) *exec {
 	return e
 }
 
-func (e *exec) reset(s *store.Store, seed logic.Subst, fn func(Match) bool) {
+func (e *exec) reset(s *store.Store, fn func(Match) bool) {
 	e.s, e.fn = s, fn
 	for i := range e.set {
 		e.set[i] = false
@@ -257,6 +271,11 @@ func (e *exec) reset(s *store.Store, seed logic.Subst, fn func(Match) bool) {
 	e.extraT = e.extraT[:0]
 	e.stopped, e.matched = false, false
 	e.nodes, e.probes, e.matches = 0, 0, 0
+}
+
+// seed binds the seed's variables: into their slots, or, for a variable the
+// body does not mention, into the extra bindings materialize appends.
+func (e *exec) seed(seed logic.Subst) {
 	for v, t := range seed {
 		if sl, ok := e.p.slotOf[v]; ok {
 			e.bind[sl] = t
@@ -447,29 +466,34 @@ func (p *Plan) ExistsSeeded(s *store.Store, seed logic.Subst) bool {
 func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) bool {
 	mSearches.Inc()
 	tm := obs.StartTimer()
-	if len(p.atoms) == 0 {
-		if fn != nil {
-			sub := seed
-			if sub == nil {
-				sub = logic.NewSubst()
-			}
-			fn(Match{Subst: sub, Facts: nil})
-		}
-		flight.Record(flight.KindHomoSearch, 0, 0, 0, 1)
-		mTime.Since(tm)
-		if attr.Enabled() {
-			attrSearches.Add(p.aid, 1)
-			attrMatches.Add(p.aid, 1)
-			attrNodesPer.Observe(p.aid, 0)
-			attrProbesPer.Observe(p.aid, 0)
-			attrTime.Since(p.aid, tm)
-		}
-		return true
-	}
 	e := p.pool.Get().(*exec)
-	e.reset(s, seed, fn)
-	switch p.mode {
-	case ModeWCOJ:
+	e.reset(s, fn)
+	e.seed(seed)
+	return p.run(e, tm)
+}
+
+// searchPinned is search with the plan's pin bound on fact, which it
+// matches (see ForEachPinned).
+func (p *Plan) searchPinned(s *store.Store, fact logic.Atom, fn func(Match) bool) bool {
+	mSearches.Inc()
+	tm := obs.StartTimer()
+	e := p.pool.Get().(*exec)
+	e.reset(s, fn)
+	e.bindPin(fact)
+	return p.run(e, tm)
+}
+
+// run executes the plan's kernel on the seeded executor e, records the
+// search and returns e to the pool. The empty conjunction's one match is
+// its seed, found with no node and no probe.
+func (p *Plan) run(e *exec, tm obs.Timer) bool {
+	switch {
+	case len(p.atoms) == 0:
+		e.matches = 1
+		if e.fn != nil {
+			e.fn(Match{Subst: e.materialize(), Facts: nil})
+		}
+	case p.mode == ModeWCOJ:
 		e.runWCOJ()
 	default:
 		e.runStatic(0)

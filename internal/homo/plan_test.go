@@ -138,7 +138,7 @@ func TestPlanNodesNotWorseThanReference(t *testing.T) {
 	}
 	planMatches := 0
 	e := p.pool.Get().(*exec)
-	e.reset(s, nil, func(Match) bool { planMatches++; return true })
+	e.reset(s, func(Match) bool { planMatches++; return true })
 	e.runStatic(0)
 
 	if planMatches != refMatches {
